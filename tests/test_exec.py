@@ -7,6 +7,7 @@ import pytest
 from repro.config import NocConfig, SystemConfig
 from repro.exec import Executor, ResultCache, RunSpec
 from repro.exec.cache import NullCache
+from repro.faults import FaultPlan
 from repro.stats.serialize import RESULT_SCHEMA_VERSION
 
 
@@ -166,6 +167,73 @@ class TestAxisFingerprints:
         clone = RunSpec.from_dict(spec.to_dict())
         assert clone == spec
         assert clone.fingerprint == spec.fingerprint
+
+
+class TestPinnedCacheAddresses:
+    """Exact cache addresses and labels for one spec per axis value.
+
+    ``TestAxisFingerprints`` only checks that fingerprints differ; these
+    pins catch a refactor of the canonical payload that would move every
+    cache entry (and so cold-start every deployed cache) while keeping
+    the values distinct."""
+
+    WRR_31 = SystemConfig().with_overrides(noc={"wrr_weights": (3, 1)})
+    VECTOR = SystemConfig().with_overrides(
+        noc={"flit_level": True, "flit_engine": "vector"})
+
+    # (spec, fingerprint, label)
+    PINS = [
+        (RunSpec(benchmark="vips", mechanism="original"),
+         "fc4bafd07b849d231860f740b388bcab6aa551eee63ea3c1ec44e8130763f9aa",
+         "vips[original/qsl scale=1.0 seed=2018]"),
+        (RunSpec(benchmark="vips", mechanism="original", protocol="msi"),
+         "97c087be56eeb66f15981074979a63ae8e199b48bab8356c08d880b45253971d",
+         "vips[original/qsl scale=1.0 seed=2018 protocol=msi]"),
+        (RunSpec(benchmark="vips", mechanism="original", protocol="mesi"),
+         "03d1b152250f2f12c3a2b20426c8cfd75d80a52d7f3cf38686a9a8b6293660e5",
+         "vips[original/qsl scale=1.0 seed=2018 protocol=mesi]"),
+        (RunSpec(benchmark="vips", mechanism="original", topology="torus"),
+         "22b824baee21f03256df255cf599074feffbbc468754b25d055cfbbd56282770",
+         "vips[original/qsl scale=1.0 seed=2018 topology=torus]"),
+        (RunSpec(benchmark="vips", mechanism="original", topology="ring"),
+         "a306bb1b9d9c658fe892b42850a5489563ad2cdc6149568b1db14ea9272d66a0",
+         "vips[original/qsl scale=1.0 seed=2018 topology=ring]"),
+        (RunSpec(benchmark="vips", mechanism="original", arbiter="wrr"),
+         "11d251e324c577d807e42afe12e6b0ead74b2518594e0ca8f69cf53072e98d89",
+         "vips[original/qsl scale=1.0 seed=2018 arbiter=wrr]"),
+        (RunSpec(benchmark="vips", mechanism="original", arbiter="wrr",
+                 config=WRR_31),
+         "75a0b1d6e15fe24863ca8642646634179e5a9ab7612ce7150657e8cad824ead4",
+         "vips[original/qsl scale=1.0 seed=2018 arbiter=wrr]"),
+        (RunSpec(benchmark="vips", mechanism="inpg",
+                 config=SystemConfig().with_overrides(
+                     inpg={"placement": "center"})),
+         "9cd1841f2a383308d85a4c57ae1362a3add5a1935bd14817bddc0cdb431e07f2",
+         "vips[inpg/qsl scale=1.0 seed=2018]"),
+        (RunSpec(benchmark="vips", mechanism="inpg",
+                 config=SystemConfig().with_overrides(
+                     inpg={"placement": "perimeter"})),
+         "88dcd5a5ce0915eb3e44bfdad92f3962cd44a52503d32e3985b4e4a9593d1be9",
+         "vips[inpg/qsl scale=1.0 seed=2018]"),
+        (RunSpec(benchmark="vips", mechanism="original", config=VECTOR),
+         "232796d6548e69ff3231f13e350d6f8862e7066d1a4b0b9b6b73ab84a36f0127",
+         "vips[original/qsl scale=1.0 seed=2018]"),
+        (RunSpec.microbench(home_node=27, mechanism="inpg", primitive="tas"),
+         "ff89b274fffc46a980d3910768f3ab4dbe53dda5102a7ecae94c86815299aaea",
+         "microbench[inpg/tas scale=1.0 seed=2018]"),
+        (RunSpec(benchmark="vips", mechanism="original",
+                 fault_plan=FaultPlan.parse("drop:0.01", seed=3)),
+         "0253da080367828aae3cf4dd7bc63680f6561f00e6176cc0773bbefc20328291",
+         "vips[original/qsl scale=1.0 seed=2018 faults=drop:0.01]"),
+    ]
+
+    IDS = ["default", "msi", "mesi", "torus", "ring", "wrr", "wrr-3-1",
+           "center", "perimeter", "vector", "microbench", "faults"]
+
+    @pytest.mark.parametrize("spec,fingerprint,label", PINS, ids=IDS)
+    def test_fingerprint_and_label_pinned(self, spec, fingerprint, label):
+        assert spec.fingerprint == fingerprint
+        assert spec.label() == label
 
 
 class TestExecutor:
