@@ -7,10 +7,11 @@ sit at the low end — the paper's Section 2.2 ordering.
 from conftest import run_once
 
 from repro.experiments import fig02_lco
+from repro.experiments.common import ExperimentOptions
 
 
 def test_fig02_lco_share(benchmark, sweep_scale):
-    result = run_once(benchmark, lambda: fig02_lco.run(scale=sweep_scale))
+    result = run_once(benchmark, lambda: fig02_lco.run(ExperimentOptions(scale=sweep_scale)))
     print("\n" + result.render())
     for bench, per_prim in result.lco.items():
         # robust orderings on these saturated programs: MCS (per-core

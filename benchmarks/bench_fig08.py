@@ -8,12 +8,14 @@ structure.
 from conftest import run_once
 
 from repro.experiments import fig08_cs_chars
+from repro.experiments.common import ExperimentOptions
 
 
 def test_fig08_cs_characteristics(benchmark, sweep_quick, sweep_scale):
     result = run_once(
         benchmark,
-        lambda: fig08_cs_chars.run(scale=sweep_scale, quick=sweep_quick),
+        lambda: fig08_cs_chars.run(
+            ExperimentOptions(scale=sweep_scale, quick=sweep_quick)),
     )
     print("\n" + result.render())
     ordered = result.sorted_by_cs_time()

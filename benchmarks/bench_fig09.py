@@ -8,11 +8,13 @@ best — the paper's 62.1% -> 69.8% -> 73.0% -> 80.1% progression.
 from conftest import run_once
 
 from repro.experiments import fig09_timing_profile
+from repro.experiments.common import ExperimentOptions
 
 
 def test_fig09_timing_profile(benchmark, sweep_scale):
     result = run_once(
-        benchmark, lambda: fig09_timing_profile.run(scale=sweep_scale)
+        benchmark, lambda: fig09_timing_profile.run(
+            ExperimentOptions(scale=sweep_scale))
     )
     print("\n" + result.render())
     rows = result.by_mechanism()

@@ -8,13 +8,15 @@ larger expedition — the paper's central result.
 from conftest import run_once
 
 from repro.experiments import fig11_cs_expedition
+from repro.experiments.common import ExperimentOptions
 from repro.workloads import group_of
 
 
 def test_fig11_cs_expedition(benchmark, sweep_quick, sweep_scale):
     result = run_once(
         benchmark,
-        lambda: fig11_cs_expedition.run(scale=sweep_scale, quick=sweep_quick),
+        lambda: fig11_cs_expedition.run(
+            ExperimentOptions(scale=sweep_scale, quick=sweep_quick)),
     )
     print("\n" + result.render())
     # envelope: iNPG must not regress CS time materially anywhere, and

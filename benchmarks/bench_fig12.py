@@ -7,11 +7,13 @@ Group 3; iNPG beats OCOR on average (paper: 19.9% vs 12.3% reductions).
 from conftest import run_once
 
 from repro.experiments import fig12_roi
+from repro.experiments.common import ExperimentOptions
 
 
 def test_fig12_roi_finish_time(benchmark, sweep_quick, sweep_scale):
     result = run_once(
-        benchmark, lambda: fig12_roi.run(scale=sweep_scale, quick=sweep_quick)
+        benchmark, lambda: fig12_roi.run(
+            ExperimentOptions(scale=sweep_scale, quick=sweep_quick))
     )
     print("\n" + result.render())
     # envelope: neither mechanism may materially regress ROI (our

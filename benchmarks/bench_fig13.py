@@ -8,12 +8,14 @@ ABQL > QSL > MCS in ROI reduction.
 from conftest import run_once
 
 from repro.experiments import fig13_primitives
+from repro.experiments.common import ExperimentOptions
 
 
 def test_fig13_primitives(benchmark, sweep_quick, sweep_scale):
     result = run_once(
         benchmark,
-        lambda: fig13_primitives.run(scale=sweep_scale, quick=sweep_quick),
+        lambda: fig13_primitives.run(
+            ExperimentOptions(scale=sweep_scale, quick=sweep_quick)),
     )
     print("\n" + result.render())
     primitives = result.reduction[next(iter(result.reduction))]

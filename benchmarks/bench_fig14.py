@@ -7,12 +7,14 @@ returns from 32 to 64 (the paper's rationale for the 32-router default).
 from conftest import run_once
 
 from repro.experiments import fig14_deployment
+from repro.experiments.common import ExperimentOptions
 
 
 def test_fig14_deployment(benchmark, sweep_quick, sweep_scale):
     result = run_once(
         benchmark,
-        lambda: fig14_deployment.run(scale=sweep_scale, quick=sweep_quick),
+        lambda: fig14_deployment.run(
+            ExperimentOptions(scale=sweep_scale, quick=sweep_quick)),
     )
     print("\n" + result.render())
     averages = {c: result.average(c) for c in result.deployments}

@@ -13,6 +13,7 @@ import os
 from conftest import run_once
 
 from repro.experiments import fig15_sensitivity
+from repro.experiments.common import ExperimentOptions
 
 
 def _dims():
@@ -26,7 +27,8 @@ def test_fig15_sensitivity(benchmark, sweep_quick, sweep_scale):
     result = run_once(
         benchmark,
         lambda: fig15_sensitivity.run(
-            scale=sweep_scale, quick=sweep_quick, dims=dims
+            ExperimentOptions(scale=sweep_scale, quick=sweep_quick),
+            dims=dims,
         ),
     )
     print("\n" + result.render())

@@ -24,10 +24,12 @@ import pytest
 
 
 def pytest_addoption(parser):
+    from repro.config import FLIT_ENGINES
+
     parser.addoption(
         "--flit-engine",
-        default=os.environ.get("REPRO_FLIT_ENGINE", "event"),
-        choices=("event", "vector", "sharded"),
+        default=os.environ.get("REPRO_FLIT_ENGINE", FLIT_ENGINES[0]),
+        choices=FLIT_ENGINES,
         help="engine the flit-level NoC benches construct their "
              "networks with (default: event, or REPRO_FLIT_ENGINE)",
     )

@@ -12,8 +12,9 @@ Examples::
 This module also owns the *shared* command-line vocabulary: every
 ``inpg-*`` tool that executes simulations builds its parser over
 :func:`execution_parent` (``--jobs`` / ``--timeout`` / ``--cache-dir`` /
-``--no-cache`` / ``--remote``) and :func:`add_flit_engine_argument`, so
-one flag is spelled, typed and documented identically everywhere, and
+``--no-cache`` / ``--remote``) and :func:`axes_parent` (one flag per
+:data:`~repro.config.AXES` row that has one), so one flag is spelled,
+typed and documented identically everywhere, and
 :func:`executor_from_args` turns the parsed flags into the right
 executor — in-process by default, a
 :class:`~repro.serve.client.RemoteExecutor` when ``--remote`` names a
@@ -24,19 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from dataclasses import replace
 
-from .config import (
-    ARBITERS,
-    FLIT_ENGINES,
-    MECHANISMS,
-    PROTOCOL_NAMES,
-    TOPOLOGIES,
-    SystemConfig,
-)
+from .config import AXES, MECHANISMS, SPEC_AXES, SystemConfig
 from .exec import Executor, RunSpec
 from .locks.factory import PRIMITIVES, canonical_primitive
 from .stats.export import render_gantt, run_result_to_dict
@@ -87,72 +80,35 @@ def execution_parent(remote: bool = True) -> argparse.ArgumentParser:
     return parent
 
 
-#: environment default for ``--shards`` (same convention as REPRO_JOBS)
-SHARDS_ENV = "REPRO_SHARDS"
-
-
-def add_flit_engine_argument(parser, extra_help: str = "") -> None:
-    """Add the shared ``--flit-engine`` flag (identical everywhere)."""
-    text = ("run the NoC at flit granularity with this engine "
-            "('event' = reference, 'vector' = cycle-batched arrays, "
-            "bit-exact, 'sharded' = vector split into row-band worker "
-            "processes, bit-exact)")
-    if extra_help:
-        text = f"{text}; {extra_help}"
-    parser.add_argument("--flit-engine", default=None,
-                        choices=list(FLIT_ENGINES), help=text)
-
-
-def add_shards_argument(parser) -> None:
-    """Add the shared ``--shards`` flag (identical everywhere)."""
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="row-band worker processes for the sharded flit engine "
-             "(requires --flit-engine sharded; default REPRO_SHARDS "
-             "or 1)",
-    )
-
-
-def resolve_shards(args) -> int:
-    """``--shards`` with the ``REPRO_SHARDS`` environment fallback."""
-    shards = getattr(args, "shards", None)
-    if shards is None:
-        shards = int(os.environ.get(SHARDS_ENV, "1") or 1)
-    return shards
+def add_axis_argument(parser, axis, extra_help: str = "") -> None:
+    """Add one axis's shared flag (identical everywhere it appears)."""
+    text = f"{axis.help}; {extra_help}" if extra_help else axis.help
+    parser.add_argument(axis.flag, dest=axis.name, default=None,
+                        choices=list(axis.choices), help=text)
 
 
 def axes_parent() -> argparse.ArgumentParser:
     """The argparse parent carrying the shared simulation-axis flags.
 
-    One flag per axis of ``repro.api.describe_axes()`` —
-    ``--protocol`` / ``--flit-engine`` / ``--topology`` / ``--arbiter``
-    — spelled, typed and documented identically on ``inpg-sim`` and
-    ``inpg-experiments`` (specs built from them travel unchanged through
-    the ``inpg-serve`` proto).  Every flag defaults to ``None``, meaning
-    "keep the config's value" (the paper's MOESI / packet-level / mesh /
-    round-robin defaults).
+    One flag per :data:`~repro.config.AXES` row that names one (the
+    axes of ``repro.api.describe_axes()``), spelled, typed and
+    documented identically on ``inpg-sim`` and ``inpg-experiments``
+    (specs built from them travel unchanged through the ``inpg-serve``
+    proto).  Every flag defaults to ``None``, meaning "keep the config's
+    value" (the paper's MOESI / packet-level / mesh / round-robin
+    defaults).
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("simulation axes")
-    group.add_argument(
-        "--protocol", default=None, choices=list(PROTOCOL_NAMES),
-        help="coherence protocol variant (default: the paper's "
-             "directory MOESI)",
-    )
-    add_flit_engine_argument(group)
-    add_shards_argument(group)
-    group.add_argument(
-        "--topology", default=None, choices=list(TOPOLOGIES),
-        help="NoC fabric topology (default: the paper's 8x8 mesh; "
-             "torus/ring need the packet-level model)",
-    )
-    group.add_argument(
-        "--arbiter", default=None, choices=list(ARBITERS),
-        help="output-port arbitration across VC classes (default: "
-             "round-robin; 'wrr' = weighted round-robin with "
-             "noc.wrr_weights credits)",
-    )
+    for axis in AXES:
+        if axis.flag is not None:
+            add_axis_argument(group, axis)
     return parent
+
+
+def spec_axis_args(args) -> dict:
+    """The parsed values of the flags that map onto RunSpec fields."""
+    return {axis.name: getattr(args, axis.name) for axis in SPEC_AXES}
 
 
 def executor_from_args(args, *, retries: int = 0, on_error: str = "raise",
@@ -270,23 +226,12 @@ def main(argv=None) -> int:
         fault_plan=fault_plan,
         watchdog_cycles=args.watchdog,
         check_protocol=args.check_protocol,
-        protocol=args.protocol,
-        topology=args.topology,
-        arbiter=args.arbiter,
+        **spec_axis_args(args),
     )
-    shards = resolve_shards(args)
-    if shards > 1 and args.flit_engine != "sharded":
-        print("error: --shards > 1 requires --flit-engine sharded "
-              f"(got {args.flit_engine or 'packet-level default'})",
-              file=sys.stderr)
-        return 2
     base_config = SystemConfig()
     if args.flit_engine is not None:
-        base_config = replace(
-            base_config,
-            noc=replace(base_config.noc, flit_level=True,
-                        flit_engine=args.flit_engine, shards=shards),
-        )
+        base_config = base_config.with_overrides(
+            noc={"flit_level": True, "flit_engine": args.flit_engine})
     if args.benchmark == "microbench":
         spec = RunSpec.microbench(
             home_node=args.home,

@@ -8,7 +8,7 @@ onto the L1/directory controllers at attach time.
 from .directory import DirectoryController, DirEntry, Transaction
 from .l1cache import L1Cache
 from .memsystem import MemorySystem
-from .messages import CoherenceMessage, MessageType, next_txn_id
+from .messages import CoherenceMessage, MessageType
 from .protocol import (
     DirState,
     PROTOCOLS,
@@ -38,5 +38,4 @@ __all__ = [
     "dir_state_of",
     "get_protocol",
     "lint_protocol",
-    "next_txn_id",
 ]

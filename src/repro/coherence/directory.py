@@ -49,13 +49,12 @@ from .messages import (
     MessageType,
     N_MESSAGE_TYPES,
     mask_to_set,
-    next_txn_id,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
     from .memsystem import MemorySystem
 
-__all__ = ["DirEntry", "DirectoryController", "Transaction", "next_txn_id"]
+__all__ = ["DirEntry", "DirectoryController", "Transaction"]
 
 
 class Transaction:

@@ -21,7 +21,6 @@ per-run free-list :class:`MessagePool`.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import List, Optional
 
@@ -99,21 +98,6 @@ def mask_to_set(mask: int) -> set:
         out.add(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-_txn_ids = itertools.count(1)
-
-
-def next_txn_id() -> int:
-    """Fresh directory transaction id (monotonic, process-global).
-
-    Deprecated for simulation use: per-run ids come from
-    :meth:`repro.coherence.memsystem.MemorySystem.next_txn_id`, so two
-    back-to-back in-process runs see identical id streams.  This module
-    -level counter is kept for API compatibility (ad-hoc tests/tools that
-    need *some* unique id without a system).
-    """
-    return next(_txn_ids)
 
 
 class CoherenceMessage:

@@ -9,7 +9,7 @@ workload), so experiments are declarative parameter sweeps over it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,8 @@ class NocConfig:
     flit_level: bool = False
     #: flit-level engine: ``event`` is the per-event reference router,
     #: ``vector`` the cycle-batched array fabric (``repro.noc.vecflit``,
-    #: bit-exact against the event engine; requires single-cycle links),
-    #: ``sharded`` the spatially-partitioned multi-process fabric
-    #: (``repro.noc.shardflit``, bit-exact against ``vector``).
+    #: bit-exact against the event engine; requires single-cycle links).
     flit_engine: str = "event"
-    #: row-band shard count for the ``sharded`` flit engine: the mesh is
-    #: split into this many contiguous row bands, each advanced by its
-    #: own worker under a cycle-batched boundary-exchange barrier.
-    #: ``1`` (the default, and what any other engine requires) runs the
-    #: single-process path; CLIs default it from ``REPRO_SHARDS``.
-    shards: int = 1
     #: fabric topology (``repro.noc.topology``): the paper's ``mesh`` by
     #: default; ``torus`` (wraparound XY, dateline VCs) and ``ring``
     #: (bidirectional, shortest direction) for the placement sweeps.
@@ -108,20 +100,7 @@ class NocConfig:
     wrr_weights: Tuple[int, ...] = (2, 1)
 
     def __post_init__(self) -> None:
-        if self.flit_engine not in FLIT_ENGINES:
-            raise ValueError(
-                f"unknown flit engine {self.flit_engine!r}; "
-                f"choose from {FLIT_ENGINES}"
-            )
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; "
-                f"choose from {TOPOLOGIES}"
-            )
-        if self.arbiter not in ARBITERS:
-            raise ValueError(
-                f"unknown arbiter {self.arbiter!r}; choose from {ARBITERS}"
-            )
+        _check_axes(self, "noc")
         # JSON round-trips turn tuples into lists; normalize so configs
         # stay hashable (frozen RunSpecs embed them) and compare equal.
         weights = tuple(int(w) for w in self.wrr_weights)
@@ -131,19 +110,6 @@ class NocConfig:
                 f"{self.wrr_weights!r}"
             )
         object.__setattr__(self, "wrr_weights", weights)
-        shards = int(self.shards)
-        if not 1 <= shards <= self.height:
-            raise ValueError(
-                f"shards={self.shards!r} must be between 1 and the mesh "
-                f"height ({self.height}): each shard owns at least one "
-                f"full row band"
-            )
-        object.__setattr__(self, "shards", shards)
-        if shards > 1 and self.flit_engine != "sharded":
-            raise ValueError(
-                f"shards={shards} requires flit_engine='sharded'; the "
-                f"{self.flit_engine!r} engine is single-process"
-            )
     #: one cache block = one 8-flit packet; control messages are 1 flit.
     data_packet_flits: int = 8
     ctrl_packet_flits: int = 1
@@ -187,11 +153,7 @@ class InpgConfig:
     placement: str = "spread"
 
     def __post_init__(self) -> None:
-        if self.placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown big-router placement {self.placement!r}; "
-                f"choose from {PLACEMENTS}"
-            )
+        _check_axes(self, "inpg")
 
 
 @dataclass(frozen=True)
@@ -263,11 +225,7 @@ class SystemConfig:
     protocol: str = "moesi"
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOL_NAMES:
-            raise ValueError(
-                f"unknown coherence protocol {self.protocol!r}; "
-                f"choose from {PROTOCOL_NAMES}"
-            )
+        _check_axes(self, None)
 
     def with_overrides(self, **overrides) -> "SystemConfig":
         """Return a copy with fields deep-replaced into nested sections.
@@ -393,9 +351,8 @@ MECHANISMS = ("original", "ocor", "inpg", "inpg+ocor")
 PROTOCOL_NAMES = ("moesi", "msi", "mesi")
 
 #: Flit-level fabric engines (default first): the event-driven reference
-#: router, the vectorized cycle-batched fabric, and the multi-process
-#: row-band sharded fabric, all behind the same API.
-FLIT_ENGINES = ("event", "vector", "sharded")
+#: router and the vectorized cycle-batched fabric, behind the same API.
+FLIT_ENGINES = ("event", "vector")
 
 #: NoC topologies (default first); classes in ``repro.noc.topology``.
 TOPOLOGIES = ("mesh", "torus", "ring")
@@ -409,27 +366,131 @@ ARBITERS = ("rr", "wrr")
 PLACEMENTS = ("spread", "center", "perimeter")
 
 
+@dataclass(frozen=True)
+class Axis:
+    """One simulation axis: a config field restricted to ``choices``.
+
+    Every axis follows one convention, driven from :data:`AXES`:
+
+    * the config section validates the value in ``__post_init__``;
+    * :meth:`repro.exec.RunSpec.canonical_payload` elides the default
+      (``choices[0]``), so a run that leaves the axis alone keeps the
+      cache address it had before the axis existed, while every other
+      value addresses itself;
+    * with ``flag`` set, ``inpg-sim`` and ``inpg-experiments`` take the
+      flag (:func:`repro.cli.axes_parent`) and :func:`describe_axes`
+      lists the axis;
+    * with ``in_spec`` set, :class:`~repro.exec.RunSpec` and
+      :class:`~repro.experiments.common.ExperimentOptions` carry an
+      ``Optional[str]`` field of this ``name`` (added by
+      :func:`axis_fields`) that overlays onto the config, and
+      :meth:`~repro.exec.RunSpec.label` names non-default values.
+    """
+
+    #: axis name: the ``describe_axes`` key and, when ``in_spec``, the
+    #: RunSpec/ExperimentOptions field and the parsed flag's ``dest``
+    name: str
+    #: :class:`SystemConfig` section holding the field (None = top level)
+    section: Optional[str]
+    #: field name inside ``section``
+    field: str
+    #: valid values, default first
+    choices: Tuple[str, ...]
+    #: shared CLI flag (None = config-only)
+    flag: Optional[str] = None
+    #: the flag's help text
+    help: str = ""
+    #: RunSpec has a field of this name
+    in_spec: bool = False
+
+    @property
+    def default(self) -> str:
+        return self.choices[0]
+
+    @property
+    def config_field(self) -> str:
+        """Dotted path of the field, e.g. ``"noc.topology"``."""
+        return f"{self.section}.{self.field}" if self.section else self.field
+
+    def value(self, config: "SystemConfig") -> str:
+        """This axis's value in ``config``."""
+        holder = getattr(config, self.section) if self.section else config
+        return getattr(holder, self.field)
+
+
+#: Every simulation axis.  Adding one takes a row here plus its config
+#: field; validation, fingerprint elision, CLI flags, spec fields and
+#: labels follow from the row.
+AXES = (
+    Axis("protocol", None, "protocol", PROTOCOL_NAMES, "--protocol",
+         "coherence protocol variant (default: the paper's directory "
+         "MOESI)", in_spec=True),
+    # the one flag that does more than set its field: ``--flit-engine``
+    # also turns on ``noc.flit_level`` (repro.cli, ExperimentOptions)
+    Axis("flit_engine", "noc", "flit_engine", FLIT_ENGINES, "--flit-engine",
+         "run the NoC at flit granularity with this engine ('event' = "
+         "reference, 'vector' = cycle-batched arrays, bit-exact)"),
+    Axis("topology", "noc", "topology", TOPOLOGIES, "--topology",
+         "NoC fabric topology (default: the paper's 8x8 mesh; torus/ring "
+         "need the packet-level model)", in_spec=True),
+    Axis("arbiter", "noc", "arbiter", ARBITERS, "--arbiter",
+         "output-port arbitration across VC classes (default: "
+         "round-robin; 'wrr' = weighted round-robin with noc.wrr_weights "
+         "credits)", in_spec=True),
+    Axis("placement", "inpg", "placement", PLACEMENTS),
+)
+
+#: the axes RunSpec carries as fields, in table order
+SPEC_AXES = tuple(axis for axis in AXES if axis.in_spec)
+
+#: config section (None = top level) -> the axes it holds
+_SECTION_AXES = {
+    section: tuple(axis for axis in AXES if axis.section == section)
+    for section in {axis.section for axis in AXES}
+}
+
+
+def _check_axes(section_obj, section: Optional[str]) -> None:
+    """Validate every axis of one config section against its choices."""
+    for axis in _SECTION_AXES[section]:
+        value = getattr(section_obj, axis.field)
+        if value not in axis.choices:
+            raise ValueError(
+                f"unknown {axis.name.replace('_', ' ')} {value!r} for "
+                f"{axis.config_field}; choose from {axis.choices}"
+            )
+
+
+def axis_fields(cls):
+    """Class decorator adding one ``Optional[str] = None`` field per
+    :data:`SPEC_AXES` row, after the class's own fields.
+
+    Apply it under ``@dataclass`` (so it runs first).  ``None`` means
+    "keep the value the config carries".
+    """
+    for axis in SPEC_AXES:
+        cls.__annotations__[axis.name] = "Optional[str]"
+        setattr(cls, axis.name, None)
+    return cls
+
+
 def describe_axes() -> Dict[str, Dict[str, object]]:
-    """One record per simulation axis, in a single convention.
+    """One record per CLI-reachable simulation axis, in one convention.
 
     Each record names the valid ``choices`` (default first), the
     ``default``, the dotted config field that carries the axis, and the
     shared CLI flag (identical spelling on ``inpg-sim`` and
     ``inpg-experiments``; specs travel through the serve proto with the
-    same values).  Re-exported by :mod:`repro.api`.
+    same values).  Config-only axes (big-router placement) have no flag
+    and are not listed.  Re-exported by :mod:`repro.api`.
     """
-    axes = {
-        "protocol": ("protocol", "--protocol", PROTOCOL_NAMES),
-        "flit_engine": ("noc.flit_engine", "--flit-engine", FLIT_ENGINES),
-        "topology": ("noc.topology", "--topology", TOPOLOGIES),
-        "arbiter": ("noc.arbiter", "--arbiter", ARBITERS),
-    }
     return {
-        name: {
-            "choices": choices,
-            "default": choices[0],
-            "config_field": config_field,
-            "flag": flag,
+        axis.name: {
+            "choices": axis.choices,
+            "default": axis.default,
+            "config_field": axis.config_field,
+            "flag": axis.flag,
         }
-        for name, (config_field, flag, choices) in axes.items()
+        for axis in AXES
+        if axis.flag is not None
     }

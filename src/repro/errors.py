@@ -37,8 +37,6 @@ __all__ = [
     "ProtocolViolation",
     "ReproError",
     "RunTimeout",
-    "ShardConfigError",
-    "ShardWorkerError",
     "SimulationError",
     "UnsupportedFaultSite",
     "UnsupportedTopology",
@@ -180,32 +178,6 @@ class UnsupportedTopology(ReproError, ValueError):
         self.supported = tuple(supported)
 
 
-class ShardConfigError(ReproError, ValueError):
-    """A shard count was combined with an engine that cannot honor it.
-
-    ``NocConfig.shards > 1`` is meaningful only on the sharded flit
-    engine; forcing such a config onto the ``event`` or ``vector``
-    engine (e.g. through :func:`repro.noc.vecflit.make_flit_network`'s
-    explicit ``engine`` argument) is refused up front — with the engine
-    and shard count named — rather than silently run single-process.
-    (``ValueError`` stays a base so generic config-validation handlers
-    keep catching it.)
-    """
-
-    def __init__(
-        self,
-        message: str = "shard count unsupported by this engine",
-        *,
-        engine: Optional[str] = None,
-        shards: Optional[int] = None,
-    ):
-        super().__init__(message)
-        #: the engine that cannot run sharded (e.g. ``"vector"``)
-        self.engine = engine
-        #: the requested shard count
-        self.shards = shards
-
-
 class RunTimeout(ReproError):
     """A run exhausted its wall-clock budget before finishing its ROI.
 
@@ -249,33 +221,3 @@ class ExecutorError(ReproError):
         self.spec_label = spec_label
         self.worker_traceback = worker_traceback
 
-
-class ShardWorkerError(ExecutorError):
-    """A sharded-fabric worker process died or raised mid-run.
-
-    The sharded flit engine (:mod:`repro.noc.shardflit`) advances each
-    mesh band in its own process under a conservative-lookahead barrier;
-    a worker that crashes would otherwise leave its siblings spinning
-    forever.  The parent detects the death, aborts the remaining
-    workers through the shared-memory abort flag, and raises this —
-    an :class:`ExecutorError` so executor-level fencing catches it —
-    with the failing shard identified and the worker's formatted
-    traceback attached when one crossed the pipe.
-    """
-
-    def __init__(
-        self,
-        message: str = "shard worker failed",
-        *,
-        shard: Optional[int] = None,
-        shards: Optional[int] = None,
-        exitcode: Optional[int] = None,
-        worker_traceback: Optional[str] = None,
-    ):
-        super().__init__(message, worker_traceback=worker_traceback)
-        #: index of the failing shard (0 = topmost row band)
-        self.shard = shard
-        #: total shard count of the run
-        self.shards = shards
-        #: the worker process exit code, when it died without reporting
-        self.exitcode = exitcode

@@ -19,10 +19,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, TYPE_CHECKING, Tuple
 
-from ..config import SystemConfig, config_from_dict, config_to_dict
+from ..config import (
+    ARBITERS,
+    AXES,
+    SPEC_AXES,
+    SystemConfig,
+    axis_fields,
+    config_from_dict,
+    config_to_dict,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.plan import FaultPlan
@@ -47,6 +55,7 @@ _MICROBENCH_DEFAULTS = {
 
 
 @dataclass(frozen=True)
+@axis_fields
 class RunSpec:
     """Declarative description of one simulation.
 
@@ -63,6 +72,10 @@ class RunSpec:
     ``check_protocol``) change what the simulation *does*, so they enter
     the canonical payload — but only when set, which keeps every
     pre-existing fingerprint (and thus every cached result) stable.
+
+    One more field per :data:`~repro.config.SPEC_AXES` row follows
+    (``protocol``, ``topology``, ``arbiter``): ``None`` keeps whatever
+    ``config`` carries, any other value overlays onto it.
     """
 
     benchmark: str
@@ -82,15 +95,6 @@ class RunSpec:
     watchdog_cycles: Optional[int] = None
     #: attach the online coherence :class:`~repro.coherence.checker.ProtocolChecker`
     check_protocol: bool = False
-    #: coherence protocol variant (``moesi`` / ``msi`` / ``mesi``);
-    #: ``None`` keeps whatever ``config`` carries (MOESI by default)
-    protocol: Optional[str] = None
-    #: NoC topology (``mesh`` / ``torus`` / ``ring``); ``None`` keeps
-    #: whatever ``config`` carries (the paper's mesh by default)
-    topology: Optional[str] = None
-    #: output-port arbiter (``rr`` / ``wrr``); ``None`` keeps whatever
-    #: ``config`` carries (round-robin by default)
-    arbiter: Optional[str] = None
 
     def __post_init__(self):
         # normalize so equal specs hash equally regardless of the
@@ -124,15 +128,17 @@ class RunSpec:
     def resolved_config(self) -> SystemConfig:
         """The effective config: base (or defaults) + axes + mechanism."""
         base = self.config or SystemConfig()
-        if self.protocol is not None and self.protocol != base.protocol:
-            base = replace(base, protocol=self.protocol)
-        noc_updates = {}
-        if self.topology is not None and self.topology != base.noc.topology:
-            noc_updates["topology"] = self.topology
-        if self.arbiter is not None and self.arbiter != base.noc.arbiter:
-            noc_updates["arbiter"] = self.arbiter
-        if noc_updates:
-            base = base.with_overrides(noc=noc_updates)
+        overrides = {}
+        for axis in SPEC_AXES:
+            value = getattr(self, axis.name)
+            if value is None or value == axis.value(base):
+                continue
+            if axis.section is None:
+                overrides[axis.field] = value
+            else:
+                overrides.setdefault(axis.section, {})[axis.field] = value
+        if overrides:
+            base = base.with_overrides(**overrides)
         if self.mechanism is None:
             return base
         return base.with_mechanism(self.mechanism)
@@ -172,7 +178,7 @@ class RunSpec:
         if self.config is not None:
             out["config"] = config_to_dict(self.config)
         for name in ("cs_per_thread", "cs_cycles", "parallel_cycles",
-                     "watchdog_cycles", "protocol", "topology", "arbiter"):
+                     "watchdog_cycles", *(a.name for a in SPEC_AXES)):
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -221,34 +227,18 @@ class RunSpec:
             "max_cycles": self.max_cycles,
             "config": asdict(self.resolved_config()),
         }
-        # the default protocol is elided so every pre-protocol-axis
-        # fingerprint (= cache address) and golden stays valid; a
-        # non-default protocol is a different run and addresses itself
-        if payload["config"].get("protocol") == "moesi":
-            del payload["config"]["protocol"]
-        # same treatment for the flit-engine axis: the default event
-        # engine keeps pre-axis fingerprints; "vector" is bit-exact but
-        # addresses itself (distinct cache entries, honest provenance)
-        if payload["config"]["noc"].get("flit_engine") == "event":
-            del payload["config"]["noc"]["flit_engine"]
-        # shard count: 1 is the pre-sharding behaviour on every engine,
-        # so it is elided to keep all legacy fingerprints; a multi-shard
-        # run is bit-exact with the vector engine but addresses itself
-        if payload["config"]["noc"].get("shards", 1) == 1:
-            payload["config"]["noc"].pop("shards", None)
-        # topology/arbiter axes, same elide-the-default convention; WRR
-        # weights are inert under the default round-robin arbiter, so
-        # they only address themselves when the WRR arbiter reads them
-        noc = payload["config"]["noc"]
-        if noc.get("topology") == "mesh":
-            del noc["topology"]
-        if noc.get("arbiter") == "rr":
-            del noc["arbiter"]
-            noc.pop("wrr_weights", None)
-        # big-router placement: the paper's evenly-spread deployment is
-        # the pre-axis behaviour, so the default keeps fingerprints
-        if payload["config"]["inpg"].get("placement") == "spread":
-            del payload["config"]["inpg"]["placement"]
+        config = payload["config"]
+        # WRR weights are inert under the default round-robin arbiter,
+        # so they only address themselves when the WRR arbiter reads them
+        if config["noc"]["arbiter"] == ARBITERS[0]:
+            del config["noc"]["wrr_weights"]
+        # every axis elides its default, so a run that leaves an axis
+        # alone keeps its pre-axis fingerprint (= cache address) and
+        # golden; a non-default value is a different run
+        for axis in AXES:
+            holder = config[axis.section] if axis.section else config
+            if holder[axis.field] == axis.default:
+                del holder[axis.field]
         if self.is_microbench:
             payload["workload"] = self.microbench_params()
         # robustness knobs: keys exist only when active so legacy
@@ -277,14 +267,10 @@ class RunSpec:
             f" scale={self.scale} seed={self.seed}"
         )
         resolved = self.resolved_config()
-        if resolved.protocol != "moesi":
-            text += f" protocol={resolved.protocol}"
-        if resolved.noc.topology != "mesh":
-            text += f" topology={resolved.noc.topology}"
-        if resolved.noc.arbiter != "rr":
-            text += f" arbiter={resolved.noc.arbiter}"
-        if resolved.noc.shards > 1:
-            text += f" shards={resolved.noc.shards}"
+        for axis in SPEC_AXES:
+            value = axis.value(resolved)
+            if value != axis.default:
+                text += f" {axis.name}={value}"
         if self.fault_plan is not None and self.fault_plan.enabled:
             text += f" faults={self.fault_plan.describe()}"
         return text + "]"

@@ -107,9 +107,8 @@ class ProtocolAblationResult:
         return "\n".join(lines)
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> ProtocolAblationResult:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> ProtocolAblationResult:
+    opts = resolve_options(options)
     benches = opts.benchmarks()
     protocols = (
         (opts.protocol,) if opts.protocol is not None else PROTOCOL_NAMES

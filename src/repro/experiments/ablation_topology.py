@@ -141,11 +141,10 @@ def _inpg_config(placement: str) -> Optional[SystemConfig]:
     return SystemConfig().with_overrides(inpg={"placement": placement})
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None,
+def run(options: "ExperimentOptions" = None, *,
         benchmarks: Optional[Tuple[str, ...]] = None,
         ) -> TopologyAblationResult:
-    opts = resolve_options(options, quick=quick, scale=scale)
+    opts = resolve_options(options)
     benches = tuple(benchmarks) if benchmarks else opts.benchmarks()
     topologies = (
         (opts.topology,) if opts.topology is not None else TOPOLOGIES

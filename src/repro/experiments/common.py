@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from ..config import MECHANISMS, SystemConfig
+from ..config import MECHANISMS, SPEC_AXES, SystemConfig, axis_fields
 from ..exec import Executor, RunSpec
 from ..stats.metrics import RunResult
 from ..workloads.profiles import ALL_PROFILES, group_of, grouped_profiles
@@ -56,15 +56,12 @@ def set_executor(executor: Executor) -> Executor:
 
 
 @dataclass(frozen=True)
+@axis_fields
 class ExperimentOptions:
     """The knobs every figure harness shares, in one keyword-only value.
 
-    Historically each ``run()`` grew its own ``quick=``/``scale=``
-    defaults; the unified signature is ``run(options=None, *, ...)``
-    with per-figure extras staying keyword-only.  The legacy ``quick=``
-    and ``scale=`` keywords completed their deprecation cycle and now
-    raise a :class:`TypeError` with migration instructions (see
-    :func:`resolve_options`).
+    Every harness takes ``run(options=None, *, ...)``, with per-figure
+    extras keyword-only.
 
     The robustness knobs ride here too, so fault campaigns and resilient
     sweeps configure ``simulate()`` / ``run_plan()`` / every ``fig*``
@@ -72,6 +69,10 @@ class ExperimentOptions:
     overlay onto any spec that does not set its own, while ``timeout_s``
     / ``retries`` / ``on_error`` are pure execution policy (``None`` =
     the executor's configured default).
+
+    One more field per :data:`~repro.config.SPEC_AXES` row follows
+    (``protocol``, ``topology``, ``arbiter``): a non-``None`` value
+    applies to every run whose spec does not pin its own.
     """
 
     #: representative 6-benchmark subset (False sweeps all 24 programs)
@@ -86,24 +87,11 @@ class ExperimentOptions:
     watchdog_cycles: Optional[int] = None
     #: attach the online coherence protocol checker to every run
     check_protocol: bool = False
-    #: coherence protocol variant for every run that does not pin its
-    #: own (``moesi`` / ``msi`` / ``mesi``); ``None`` = spec default
-    protocol: Optional[str] = None
-    #: NoC topology for every run that does not pin its own
-    #: (``mesh`` / ``torus`` / ``ring``); ``None`` = spec default
-    topology: Optional[str] = None
-    #: output-port arbiter for every run that does not pin its own
-    #: (``rr`` / ``wrr``); ``None`` = spec default
-    arbiter: Optional[str] = None
     #: flit-level engine (``event`` / ``vector``) for every run whose
-    #: config does not already run flit-level; implies
-    #: ``noc.flit_level``, so mechanisms needing the packet model (iNPG)
-    #: raise their usual structured errors
+    #: config does not already run flit-level; also sets
+    #: ``noc.flit_level``, so a run that needs the packet model (any
+    #: iNPG mechanism) fails with ``ValueError`` when the system is built
     flit_engine: Optional[str] = None
-    #: row-band worker count for the sharded flit engine; only
-    #: meaningful with ``flit_engine="sharded"`` (``NocConfig`` refuses
-    #: other combinations); ``None`` = single process
-    shards: Optional[int] = None
     #: per-run wall-clock budget (seconds); a timed-out run raises
     #: :class:`~repro.errors.RunTimeout` and is never cached
     timeout_s: Optional[float] = None
@@ -131,19 +119,15 @@ class ExperimentOptions:
             updates["watchdog_cycles"] = self.watchdog_cycles
         if self.check_protocol and not spec.check_protocol:
             updates["check_protocol"] = True
-        if self.protocol is not None and spec.protocol is None:
-            updates["protocol"] = self.protocol
-        if self.topology is not None and spec.topology is None:
-            updates["topology"] = self.topology
-        if self.arbiter is not None and spec.arbiter is None:
-            updates["arbiter"] = self.arbiter
+        for axis in SPEC_AXES:
+            value = getattr(self, axis.name)
+            if value is not None and getattr(spec, axis.name) is None:
+                updates[axis.name] = value
         if self.flit_engine is not None:
             cfg = spec.config or SystemConfig()
             if not cfg.noc.flit_level:
-                noc = {"flit_level": True, "flit_engine": self.flit_engine}
-                if self.shards is not None:
-                    noc["shards"] = self.shards
-                updates["config"] = cfg.with_overrides(noc=noc)
+                updates["config"] = cfg.with_overrides(
+                    noc={"flit_level": True, "flit_engine": self.flit_engine})
         return replace(spec, **updates) if updates else spec
 
     def executor_policy(self) -> Dict[str, object]:
@@ -157,32 +141,9 @@ class ExperimentOptions:
 
 def resolve_options(
     options: Optional[ExperimentOptions] = None,
-    *,
-    quick: Optional[bool] = None,
-    scale: Optional[float] = None,
 ) -> ExperimentOptions:
-    """Resolve the harness options, rejecting the removed legacy kwargs.
-
-    The ``quick=``/``scale=`` keywords went through a deprecation cycle
-    (accepted with a ``DeprecationWarning`` through the previous
-    releases); they now fail loudly with migration instructions.  The
-    parameters stay in every ``run()`` signature so old call sites get
-    this message instead of an opaque unexpected-keyword ``TypeError``.
-    """
-    opts = options if options is not None else ExperimentOptions()
-    if quick is not None or scale is not None:
-        passed = ", ".join(
-            f"{name}={value!r}"
-            for name, value in (("quick", quick), ("scale", scale))
-            if value is not None
-        )
-        raise TypeError(
-            f"the quick=/scale= keywords were removed after their "
-            f"deprecation cycle; replace run({passed}) with "
-            f"run(ExperimentOptions({passed})) "
-            f"(from repro.experiments.common import ExperimentOptions)"
-        )
-    return opts
+    """The harness options, defaulting to ``ExperimentOptions()``."""
+    return options if options is not None else ExperimentOptions()
 
 
 def execute(

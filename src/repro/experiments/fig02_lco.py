@@ -72,9 +72,9 @@ class Fig2Result:
         )
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
+def run(options: "ExperimentOptions" = None, *,
         benchmarks=BENCHMARKS) -> Fig2Result:
-    opts = resolve_options(options, scale=scale)
+    opts = resolve_options(options)
     specs = {
         (bench, prim): RunSpec(
             benchmark=bench, mechanism="original", primitive=prim,

@@ -69,9 +69,8 @@ class Fig8Result:
         )
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> Fig8Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> Fig8Result:
+    opts = resolve_options(options)
     result = Fig8Result()
     specs = {
         bench: RunSpec(

@@ -84,11 +84,10 @@ class Fig9Result:
 def run(
     options: "ExperimentOptions" = None,
     *,
-    scale: float = None,
     window_cycles: int = WINDOW_CYCLES,
     threads=THREADS_SHOWN,
 ) -> Fig9Result:
-    opts = resolve_options(options, scale=scale)
+    opts = resolve_options(options)
     result = Fig9Result(window=(0, window_cycles))
     specs = {
         mech: RunSpec(

@@ -82,9 +82,8 @@ class Fig11Result:
         return "\n".join(lines)
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> Fig11Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> Fig11Result:
+    opts = resolve_options(options)
     result = Fig11Result()
     benches = opts.benchmarks()
     matrix = run_mechanism_matrix(benches, primitive="qsl", options=opts)

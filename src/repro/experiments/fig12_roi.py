@@ -89,9 +89,8 @@ class Fig12Result:
         return "\n".join(lines)
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> Fig12Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> Fig12Result:
+    opts = resolve_options(options)
     result = Fig12Result()
     benches = opts.benchmarks()
     matrix = run_mechanism_matrix(benches, primitive="qsl", options=opts)

@@ -58,9 +58,8 @@ class Fig13Result:
         )
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None) -> Fig13Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+def run(options: "ExperimentOptions" = None) -> Fig13Result:
+    opts = resolve_options(options)
     result = Fig13Result()
     benches = opts.benchmarks()
     specs = {

@@ -52,10 +52,9 @@ class Fig14Result:
         )
 
 
-def run(options: "ExperimentOptions" = None, *, scale: float = None,
-        quick: bool = None,
+def run(options: "ExperimentOptions" = None, *,
         deployments: Sequence[int] = DEPLOYMENTS) -> Fig14Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+    opts = resolve_options(options)
     scale = opts.scale
     result = Fig14Result(deployments=deployments)
     base_cfg = SystemConfig()

@@ -57,12 +57,10 @@ class Fig15Result:
 def run(
     options: "ExperimentOptions" = None,
     *,
-    scale: float = None,
-    quick: bool = None,
     dims: Sequence[int] = MESH_DIMS,
     table_sizes: Sequence[int] = TABLE_SIZES,
 ) -> Fig15Result:
-    opts = resolve_options(options, quick=quick, scale=scale)
+    opts = resolve_options(options)
     scale = opts.scale
     result = Fig15Result(dims=dims, table_sizes=table_sizes)
     benches = opts.benchmarks()

@@ -28,7 +28,7 @@ from ..cli import (
     execution_parent,
     executor_from_args,
     footer_cache_dir,
-    resolve_shards,
+    spec_axis_args,
 )
 from . import (
     ablation_lco,
@@ -132,12 +132,6 @@ def main(argv=None) -> int:
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
-    shards = resolve_shards(args)
-    if shards > 1 and args.flit_engine != "sharded":
-        print("error: --shards > 1 requires --flit-engine sharded "
-              f"(got {args.flit_engine or 'packet-level default'})",
-              file=sys.stderr)
-        return 2
     traced = args.trace or args.trace_out is not None
     observe_factory = None
     if traced:
@@ -155,12 +149,9 @@ def main(argv=None) -> int:
     options = common.ExperimentOptions(
         quick=not args.full,
         scale=args.scale,
-        protocol=args.protocol,
-        topology=args.topology,
-        arbiter=args.arbiter,
         flit_engine=args.flit_engine,
-        shards=shards if shards > 1 else None,
         check_protocol=args.check_protocol,
+        **spec_axis_args(args),
     )
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:

@@ -3,10 +3,9 @@
 Two fidelity levels: the packet-granularity :class:`Network` used by the
 full system (any :class:`Topology`: mesh, torus, ring — selected by the
 ``NocConfig.topology`` axis via :func:`make_topology`), and the
-flit-level validation model — itself available as three bit-exact
-mesh-only engines, the event-driven reference (:mod:`repro.noc.flitsim`),
-the cycle-batched vector engine (:mod:`repro.noc.vecflit`) and the
-row-band sharded multi-process engine (:mod:`repro.noc.shardflit`);
+flit-level validation model — itself available as two bit-exact
+mesh-only engines, the event-driven reference (:mod:`repro.noc.flitsim`)
+and the cycle-batched vector engine (:mod:`repro.noc.vecflit`);
 :func:`make_flit_network` selects one by name.  Output-port arbitration
 is selectable per the ``NocConfig.arbiter`` axis (:class:`OutputPort`
 round-robin or :mod:`repro.noc.arbiter` weighted round-robin).
@@ -34,7 +33,6 @@ from .traffic import (
     latency_load_curve,
     run_packet_traffic,
 )
-from .shardflit import ShardedFlitFabric, ShardedFlitNetwork
 from .vecflit import (
     HAS_NUMPY,
     VectorFlitFabric,
@@ -56,8 +54,6 @@ __all__ = [
     "Ring",
     "Router",
     "STOPPED",
-    "ShardedFlitFabric",
-    "ShardedFlitNetwork",
     "TOPOLOGY_CLASSES",
     "Topology",
     "Torus",

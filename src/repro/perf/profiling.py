@@ -46,7 +46,6 @@ TOP_N = 15
 #: path fragment (under ``src/repro/``) -> layer name; first match wins.
 _LAYER_BY_PACKAGE = (
     ("repro/sim/", "kernel"),
-    ("repro/noc/shardflit", "noc-shard"),
     ("repro/noc/flitsim", "noc-flit"),
     ("repro/noc/vecflit", "noc-flit"),
     ("repro/noc/flit_fabric", "noc-flit"),
@@ -61,8 +60,7 @@ _LAYER_BY_PACKAGE = (
 )
 
 #: every layer the report always lists (zero-filled when unexercised)
-LAYERS = ("kernel", "noc", "noc-flit", "noc-shard", "coherence", "cpu",
-          "obs", "other")
+LAYERS = ("kernel", "noc", "noc-flit", "coherence", "cpu", "obs", "other")
 
 
 def layer_of(filename: str) -> str:

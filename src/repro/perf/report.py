@@ -51,7 +51,8 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional
 
-from ..cli import add_flit_engine_argument
+from ..cli import add_axis_argument
+from ..config import AXES
 from .workloads import (
     QUICK_WORKLOADS,
     WORKLOADS,
@@ -341,8 +342,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="do not rewrite the report; fail if events/sec regressed "
         f">{100 * REGRESSION_TOLERANCE:.0f}%% vs the committed numbers",
     )
-    add_flit_engine_argument(
+    add_axis_argument(
         parser,
+        next(axis for axis in AXES if axis.name == "flit_engine"),
         extra_help="forces every flit-level workload onto this engine "
         "(A/B --check runs only: the committed report numbers always "
         "use each workload's canonical engine)",

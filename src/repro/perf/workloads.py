@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from ..config import FLIT_ENGINES, NocConfig
+from ..config import NocConfig
 from ..sim import Simulator, make_rng
 
 
@@ -212,99 +212,6 @@ def flit_big_mesh(
     return _measure("flit_big_mesh", run)
 
 
-def _uniform_flit_plan(packets: int, nodes: int, per_cycle: int, seed: int):
-    """The pinned uniform mixed-size drive as explicit (cycle, src, dst,
-    length) rows — the same stream ``flit_big_mesh`` schedules, made
-    reusable for engines driven standalone (``send_at``) instead of
-    through the kernel."""
-    rng = make_rng(seed, "perf/flit")
-    plan = []
-    for i in range(packets):
-        src = rng.randrange(nodes)
-        dst = rng.randrange(nodes)
-        while dst == src:
-            dst = rng.randrange(nodes)
-        plan.append((i // per_cycle, src, dst, 8 if i % 4 == 0 else 1))
-    return plan
-
-
-def _run_flit_plan(width: int, plan, engine: str, shards: int):
-    """Drive one engine through the plan; returns ``(events, cycles)``.
-
-    A multi-shard run uses the standalone plan-driven drive (worker
-    processes cannot take mid-run injections); every other engine goes
-    through the kernel like ``flit_big_mesh``.  The engines are
-    bit-exact and count events identically on both drives, so the
-    pinned event totals are comparable across all legs.
-    """
-    if engine == "sharded" and shards > 1:
-        from ..noc.shardflit import ShardedFlitNetwork
-
-        net = ShardedFlitNetwork(
-            NocConfig(width=width, height=width,
-                      flit_engine="sharded", shards=shards)
-        )
-        for cycle, src, dst, length in plan:
-            net.send_at(cycle, src, dst, length)
-        net.run(until=2_000_000)
-        return net.events_processed, net.cycle
-    from ..noc.vecflit import make_flit_network
-
-    sim = Simulator()
-    net = make_flit_network(sim, NocConfig(width=width, height=width), engine)
-    for cycle, src, dst, length in plan:
-        sim.schedule_at(cycle, net.send, src, dst, length)
-    sim.run(until=2_000_000)
-    return sim.events_processed, sim.cycle
-
-
-def flit_sharded_big_mesh(
-    packets: int = 4_800, seed: int = 11, engine: str = "sharded",
-    shards: int = 4,
-) -> WorkloadResult:
-    """``flit_big_mesh``'s exact drive under the sharded engine.
-
-    Same 16x16 mesh, same mixed-size stream, same pinned event count —
-    only the execution changes: four row-band worker processes under
-    the cycle-batched boundary-exchange barrier.  On a multi-core host
-    this is the scaling headline; on one core it measures the barrier
-    overhead honestly (see DESIGN.md §16).
-    """
-
-    def run():
-        return _run_flit_plan(
-            16, _uniform_flit_plan(packets, 256, 8, seed), engine, shards
-        )
-
-    name = "flit_sharded_big_mesh"
-    if engine == "sharded" and shards != 4:
-        name = f"{name}[shards={shards}]"
-    return _measure(name, run)
-
-
-def flit_sharded_mesh32(
-    packets: int = 12_000, seed: int = 11, engine: str = "sharded",
-    shards: int = 4,
-) -> WorkloadResult:
-    """Dense mixed-size traffic on a 32x32 mesh, four shards.
-
-    The scaling-study extreme (ROADMAP: placement studies past the
-    paper's 8x8): 1024 routers per stepped cycle, so per-cycle work
-    dwarfs the two barrier crossings and the boundary columns — the
-    regime spatial sharding is built for.
-    """
-
-    def run():
-        return _run_flit_plan(
-            32, _uniform_flit_plan(packets, 1024, 16, seed), engine, shards
-        )
-
-    name = "flit_sharded_mesh32"
-    if engine == "sharded" and shards != 4:
-        name = f"{name}[shards={shards}]"
-    return _measure(name, run)
-
-
 # ----------------------------------------------------------------------
 # 4. End-to-end figure regeneration
 # ----------------------------------------------------------------------
@@ -448,8 +355,6 @@ WORKLOADS: Dict[str, Callable[[], WorkloadResult]] = {
     "flit_uniform": flit_uniform,
     "flit_vector_uniform": flit_vector_uniform,
     "flit_big_mesh": flit_big_mesh,
-    "flit_sharded_big_mesh": flit_sharded_big_mesh,
-    "flit_sharded_mesh32": flit_sharded_mesh32,
     "fig12_quick": fig12_quick,
     "dir_invalidation_storm": dir_invalidation_storm,
     "lock_handoff_chain": lock_handoff_chain,
@@ -462,19 +367,8 @@ QUICK_WORKLOADS = (
     "packet_uniform",
     "flit_uniform",
     "flit_vector_uniform",
-    "flit_sharded_big_mesh",
     "dir_invalidation_storm",
 )
-
-#: flit-level workloads and the engine they canonically measure
-FLIT_WORKLOAD_ENGINES: Dict[str, str] = {
-    "flit_uniform": "event",
-    "flit_vector_uniform": "vector",
-    "flit_big_mesh": "vector",
-    "flit_sharded_big_mesh": "sharded",
-    "flit_sharded_mesh32": "sharded",
-}
-
 
 def with_flit_engine(engine: str) -> Dict[str, Callable[[], WorkloadResult]]:
     """A ``WORKLOADS`` view with every flit workload forced to ``engine``.
@@ -488,8 +382,6 @@ def with_flit_engine(engine: str) -> Dict[str, Callable[[], WorkloadResult]]:
     out["flit_uniform"] = lambda: flit_uniform(engine=engine)
     out["flit_vector_uniform"] = lambda: flit_vector_uniform(engine=engine)
     out["flit_big_mesh"] = lambda: flit_big_mesh(engine=engine)
-    out["flit_sharded_big_mesh"] = lambda: flit_sharded_big_mesh(engine=engine)
-    out["flit_sharded_mesh32"] = lambda: flit_sharded_mesh32(engine=engine)
     return out
 
 

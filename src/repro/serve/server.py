@@ -1,4 +1,4 @@
-"""``inpg-serve``: the sharded simulation service.
+"""``inpg-serve``: the simulation service.
 
 One long-running process owns an :class:`~repro.exec.Executor` (and
 through it the persistent disk cache and the worker-process pool) and

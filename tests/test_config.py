@@ -134,6 +134,7 @@ class TestAxisVocabulary:
     @pytest.mark.parametrize("field,value", [
         ("topology", "hypercube"),
         ("arbiter", "lottery"),
+        ("flit_engine", "sharded"),
     ])
     def test_invalid_axis_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

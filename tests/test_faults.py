@@ -384,12 +384,6 @@ class TestOptionsPath:
         finally:
             common.set_executor(previous)
 
-    def test_legacy_kwargs_raise_with_migration_message(self):
-        from repro.experiments.common import resolve_options
-
-        with pytest.raises(TypeError, match="ExperimentOptions"):
-            resolve_options(quick=False, scale=0.7)
-
 
 # ----------------------------------------------------------------------
 # Campaign classification

@@ -213,6 +213,13 @@ class TestRegressionGate:
         assert "dir_invalidation_storm" in QUICK_WORKLOADS
         assert set(QUICK_WORKLOADS) <= set(WORKLOADS)
 
+    def test_unknown_workload_names_rejected_up_front(self, capsys):
+        from repro.perf.report import main
+
+        assert main(["--workloads", "flit_uniform", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err and "known:" in err
+
 
 class TestLayerAttribution:
     @pytest.mark.parametrize(
