@@ -11,34 +11,11 @@ All simulations route through the shared :mod:`repro.exec` executor, so
 ``.repro-cache/`` (or ``REPRO_CACHE_DIR``) answers repeated figure
 regeneration without re-simulating; the run-execution summary prints at
 session teardown.
-
-The flit-level NoC benches are engine-parameterized: ``--flit-engine
-vector`` (or ``REPRO_FLIT_ENGINE=vector``) reruns them on the
-cycle-batched vector engine instead of the event-driven reference —
-both are bit-exact, so the printed latencies must not move.
 """
 
 import os
 
 import pytest
-
-
-def pytest_addoption(parser):
-    from repro.config import FLIT_ENGINES
-
-    parser.addoption(
-        "--flit-engine",
-        default=os.environ.get("REPRO_FLIT_ENGINE", FLIT_ENGINES[0]),
-        choices=FLIT_ENGINES,
-        help="engine the flit-level NoC benches construct their "
-             "networks with (default: event, or REPRO_FLIT_ENGINE)",
-    )
-
-
-@pytest.fixture(scope="session")
-def flit_engine(request) -> str:
-    """The flit engine selected for this bench session."""
-    return request.config.getoption("--flit-engine")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -7,6 +7,7 @@ Examples::
     inpg-sim nab --mechanism inpg+ocor --json
     inpg-sim microbench --threads 64 --home 53 --gantt
     inpg-sim kdtree --mechanism inpg --trace --trace-out t.json
+    inpg-sim microbench --threads 16 --flit-level
     inpg-sim kdtree --remote http://127.0.0.1:8731
 
 This module also owns the *shared* command-line vocabulary: every
@@ -170,6 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="workload scale factor")
     parser.add_argument("--seed", type=int, default=2018)
+    parser.add_argument("--flit-level", action="store_true",
+                        help="run on the detailed flit-level NoC model "
+                             "(validation mode; mesh only, no iNPG)")
     parser.add_argument("--threads", type=int, default=64,
                         help="microbench: competing threads")
     parser.add_argument("--home", type=int, default=53,
@@ -229,9 +233,8 @@ def main(argv=None) -> int:
         **spec_axis_args(args),
     )
     base_config = SystemConfig()
-    if args.flit_engine is not None:
-        base_config = base_config.with_overrides(
-            noc={"flit_level": True, "flit_engine": args.flit_engine})
+    if args.flit_level:
+        base_config = base_config.with_overrides(noc={"flit_level": True})
     if args.benchmark == "microbench":
         spec = RunSpec.microbench(
             home_node=args.home,
@@ -248,7 +251,7 @@ def main(argv=None) -> int:
             primitive=primitive,
             scale=args.scale,
             seed=args.seed,
-            config=None if args.flit_engine is None else base_config,
+            config=base_config if args.flit_level else None,
             **robust,
         )
     observe = None

@@ -80,10 +80,6 @@ class NocConfig:
     #: run on the detailed flit-level router model instead of the
     #: packet-level one (validation mode; ~10x slower, no iNPG support).
     flit_level: bool = False
-    #: flit-level engine: ``event`` is the per-event reference router,
-    #: ``vector`` the cycle-batched array fabric (``repro.noc.vecflit``,
-    #: bit-exact against the event engine; requires single-cycle links).
-    flit_engine: str = "event"
     #: fabric topology (``repro.noc.topology``): the paper's ``mesh`` by
     #: default; ``torus`` (wraparound XY, dateline VCs) and ``ring``
     #: (bidirectional, shortest direction) for the placement sweeps.
@@ -350,10 +346,6 @@ MECHANISMS = ("original", "ocor", "inpg", "inpg+ocor")
 #: live in ``repro.coherence.protocol``.
 PROTOCOL_NAMES = ("moesi", "msi", "mesi")
 
-#: Flit-level fabric engines (default first): the event-driven reference
-#: router and the vectorized cycle-batched fabric, behind the same API.
-FLIT_ENGINES = ("event", "vector")
-
 #: NoC topologies (default first); classes in ``repro.noc.topology``.
 TOPOLOGIES = ("mesh", "torus", "ring")
 
@@ -425,11 +417,6 @@ AXES = (
     Axis("protocol", None, "protocol", PROTOCOL_NAMES, "--protocol",
          "coherence protocol variant (default: the paper's directory "
          "MOESI)", in_spec=True),
-    # the one flag that does more than set its field: ``--flit-engine``
-    # also turns on ``noc.flit_level`` (repro.cli, ExperimentOptions)
-    Axis("flit_engine", "noc", "flit_engine", FLIT_ENGINES, "--flit-engine",
-         "run the NoC at flit granularity with this engine ('event' = "
-         "reference, 'vector' = cycle-batched arrays, bit-exact)"),
     Axis("topology", "noc", "topology", TOPOLOGIES, "--topology",
          "NoC fabric topology (default: the paper's 8x8 mesh; torus/ring "
          "need the packet-level model)", in_spec=True),

@@ -144,7 +144,7 @@ class UnsupportedFaultSite(ReproError, ValueError):
         site_kinds: Tuple[str, ...] = (),
     ):
         super().__init__(message)
-        #: the refusing network model (e.g. ``"flit/vector"``)
+        #: the refusing network model (e.g. ``"flit/event"``)
         self.model = model
         #: the unsupported site kinds in the plan (e.g. ``("router",)``)
         self.site_kinds = tuple(site_kinds)
@@ -153,7 +153,7 @@ class UnsupportedFaultSite(ReproError, ValueError):
 class UnsupportedTopology(ReproError, ValueError):
     """The selected network model cannot run the configured topology.
 
-    The flit-level fabrics (event and vector engines) hard-wire the
+    The flit-level fabric (:mod:`repro.noc.flitsim`) hard-wires the
     5-port mesh router (LOCAL/N/E/S/W) and XY routing; a config naming a
     non-mesh ``NocConfig.topology`` is refused up front — with the model
     and topology named — rather than silently routed as a mesh.
@@ -170,7 +170,7 @@ class UnsupportedTopology(ReproError, ValueError):
         supported: Tuple[str, ...] = ("mesh",),
     ):
         super().__init__(message)
-        #: the refusing network model (e.g. ``"flit/vector"``)
+        #: the refusing network model (e.g. ``"flit/event"``)
         self.model = model
         #: the requested topology axis value (e.g. ``"torus"``)
         self.topology = topology

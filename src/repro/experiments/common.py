@@ -87,11 +87,6 @@ class ExperimentOptions:
     watchdog_cycles: Optional[int] = None
     #: attach the online coherence protocol checker to every run
     check_protocol: bool = False
-    #: flit-level engine (``event`` / ``vector``) for every run whose
-    #: config does not already run flit-level; also sets
-    #: ``noc.flit_level``, so a run that needs the packet model (any
-    #: iNPG mechanism) fails with ``ValueError`` when the system is built
-    flit_engine: Optional[str] = None
     #: per-run wall-clock budget (seconds); a timed-out run raises
     #: :class:`~repro.errors.RunTimeout` and is never cached
     timeout_s: Optional[float] = None
@@ -123,11 +118,6 @@ class ExperimentOptions:
             value = getattr(self, axis.name)
             if value is not None and getattr(spec, axis.name) is None:
                 updates[axis.name] = value
-        if self.flit_engine is not None:
-            cfg = spec.config or SystemConfig()
-            if not cfg.noc.flit_level:
-                updates["config"] = cfg.with_overrides(
-                    noc={"flit_level": True, "flit_engine": self.flit_engine})
         return replace(spec, **updates) if updates else spec
 
     def executor_policy(self) -> Dict[str, object]:

@@ -149,7 +149,6 @@ def main(argv=None) -> int:
     options = common.ExperimentOptions(
         quick=not args.full,
         scale=args.scale,
-        flit_engine=args.flit_engine,
         check_protocol=args.check_protocol,
         **spec_axis_args(args),
     )

@@ -5,16 +5,16 @@ and reduces the raw stats two ways:
 
 * **per-layer attribution** — every profiled function is assigned to one
   simulator layer by its module path (``repro/sim`` -> kernel, the flit
-  fabrics ``repro/noc/flitsim`` + ``repro/noc/vecflit`` +
-  ``repro/noc/flit_fabric`` -> noc-flit, the rest of ``repro/noc`` ->
-  noc, ``repro/coherence`` + ``repro/inpg`` -> coherence, ``repro/cpu``
-  + ``repro/locks`` + ``repro/workloads`` -> cpu, ``repro/obs`` +
-  ``repro/stats`` -> obs, everything else -> other); the report sums
+  fabric ``repro/noc/flitsim`` + ``repro/noc/flit_fabric`` -> noc-flit,
+  the rest of ``repro/noc`` -> noc, ``repro/coherence`` +
+  ``repro/inpg`` -> coherence, ``repro/cpu`` + ``repro/locks`` +
+  ``repro/workloads`` -> cpu, ``repro/obs`` + ``repro/stats`` -> obs,
+  everything else -> other); the report sums
   *self* time (tottime) per layer, so the shares add up to the profiled
-  wall time instead of double-counting callers.  The flit fabrics get
-  their own layer because the packet-level and flit-level datapaths are
-  optimized independently (the vector engine vs the event routers) and
-  lumping them under ``noc`` hid which one a hotspot belonged to.
+  wall time instead of double-counting callers.  The flit fabric gets
+  its own layer because the packet-level and flit-level datapaths are
+  optimized independently and lumping them under ``noc`` hid which one
+  a hotspot belonged to.
 * **top-N hotspots** — the functions with the largest self time, with
   call counts and cumulative time, ready to paste into a perf PR.
 
@@ -47,7 +47,6 @@ TOP_N = 15
 _LAYER_BY_PACKAGE = (
     ("repro/sim/", "kernel"),
     ("repro/noc/flitsim", "noc-flit"),
-    ("repro/noc/vecflit", "noc-flit"),
     ("repro/noc/flit_fabric", "noc-flit"),
     ("repro/noc/", "noc"),
     ("repro/coherence/", "coherence"),

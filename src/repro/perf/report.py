@@ -49,16 +49,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
-from ..cli import add_axis_argument
-from ..config import AXES
-from .workloads import (
-    QUICK_WORKLOADS,
-    WORKLOADS,
-    WorkloadResult,
-    with_flit_engine,
-)
+from .workloads import QUICK_WORKLOADS, WORKLOADS, WorkloadResult
 
 #: schema tag written into every report file
 BENCH_SCHEMA = "bench-core/v2"
@@ -70,23 +63,14 @@ DEFAULT_OUTPUT = "BENCH_core.json"
 REGRESSION_TOLERANCE = 0.30
 
 
-def run_workloads(
-    names: Iterable[str],
-    registry: Optional[Dict[str, Callable[[], WorkloadResult]]] = None,
-) -> Dict[str, WorkloadResult]:
-    """Execute the named workloads (in the given order).
-
-    ``registry`` substitutes the workload table — e.g. the
-    engine-forced view from
-    :func:`repro.perf.workloads.with_flit_engine`.
-    """
-    table = WORKLOADS if registry is None else registry
+def run_workloads(names: Iterable[str]) -> Dict[str, WorkloadResult]:
+    """Execute the named workloads (in the given order)."""
     results: Dict[str, WorkloadResult] = {}
     for name in names:
-        runner = table.get(name)
+        runner = WORKLOADS.get(name)
         if runner is None:
             raise KeyError(
-                f"unknown workload {name!r}; known: {sorted(table)}"
+                f"unknown workload {name!r}; known: {sorted(WORKLOADS)}"
             )
         result = runner()
         results[name] = result
@@ -257,13 +241,10 @@ def write_report(
 def check_against(
     results: Dict[str, WorkloadResult],
     committed: dict,
-    tolerance: Optional[float] = REGRESSION_TOLERANCE,
+    tolerance: float = REGRESSION_TOLERANCE,
 ) -> List[str]:
     """Regression check: fresh results vs the committed ``workloads``.
 
-    ``tolerance=None`` skips the rate gate and checks only the pinned
-    event counts (the ``--flit-engine`` A/B mode: a non-canonical
-    engine's rate is not comparable, its simulated work must be).
     Returns a list of human-readable failures (empty = pass).
     """
     failures: List[str] = []
@@ -275,11 +256,8 @@ def check_against(
         committed_rate = entry.get("events_per_sec", 0.0)
         if committed_rate <= 0:
             continue
-        floor = (
-            (1.0 - tolerance) * committed_rate
-            if tolerance is not None else 0.0
-        )
-        if tolerance is not None and result.events_per_sec < floor:
+        floor = (1.0 - tolerance) * committed_rate
+        if result.events_per_sec < floor:
             failures.append(
                 f"{name}: {result.events_per_sec:,.0f} ev/s is "
                 f"{100 * (1 - result.events_per_sec / committed_rate):.1f}% "
@@ -342,13 +320,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="do not rewrite the report; fail if events/sec regressed "
         f">{100 * REGRESSION_TOLERANCE:.0f}%% vs the committed numbers",
     )
-    add_axis_argument(
-        parser,
-        next(axis for axis in AXES if axis.name == "flit_engine"),
-        extra_help="forces every flit-level workload onto this engine "
-        "(A/B --check runs only: the committed report numbers always "
-        "use each workload's canonical engine)",
-    )
     parser.add_argument(
         "--snapshot-baseline", default=None, metavar="KEY",
         help="before updating, freeze the committed workload numbers as "
@@ -397,21 +368,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         names = list(WORKLOADS)
 
-    registry = None
-    if args.flit_engine is not None:
-        if not args.check:
-            print(
-                "error: --flit-engine is for A/B --check runs only; the "
-                "committed report pins each workload's canonical engine",
-                file=sys.stderr,
-            )
-            return 2
-        registry = with_flit_engine(args.flit_engine)
-        print(f"flit workloads forced onto the {args.flit_engine} engine")
-
     path = Path(args.output)
     print(f"measuring {len(names)} workload(s): {', '.join(names)}")
-    results = run_workloads(names, registry=registry)
+    results = run_workloads(names)
 
     if args.trace or args.trace_out is not None:
         capture_reference_trace(Path(args.trace_out or "perf_trace.json"))
@@ -440,21 +399,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: no committed report at {path} to check against",
                   file=sys.stderr)
             return 2
-        failures = check_against(
-            results, committed,
-            tolerance=None if args.flit_engine else REGRESSION_TOLERANCE,
-        )
+        failures = check_against(results, committed)
         if failures:
             print("PERF REGRESSION:", file=sys.stderr)
             for failure in failures:
                 print(f"  - {failure}", file=sys.stderr)
             return 1
-        if args.flit_engine:
-            print(f"pinned-work check passed under the {args.flit_engine} "
-                  f"engine (rates not gated on a non-canonical engine)")
-        else:
-            print(f"perf check passed (within "
-                  f"{100 * REGRESSION_TOLERANCE:.0f}% of {path})")
+        print(f"perf check passed (within "
+              f"{100 * REGRESSION_TOLERANCE:.0f}% of {path})")
         return 0
 
     report = write_report(

@@ -93,20 +93,13 @@ def kernel_chain(total_events: int = 400_000, chains: int = 64) -> WorkloadResul
 # ----------------------------------------------------------------------
 def packet_uniform(
     duration: int = 4_000, injection_rate: float = 0.08, seed: int = 7,
-    topology: str = "mesh", arbiter: str = "rr",
 ) -> WorkloadResult:
-    """Uniform-random traffic on the 8x8 packet-level fabric.
-
-    The committed gate numbers always use the default mesh + round-robin
-    pair; ``topology``/``arbiter`` parameterize A/B runs (``inpg-perf``
-    exploration via :func:`with_topology`), which report under a
-    suffixed name so they can never be mistaken for the pinned baseline.
-    """
+    """Uniform-random traffic on the 8x8 packet-level fabric."""
     from ..noc.traffic import run_packet_traffic
 
     def run():
         result = run_packet_traffic(
-            NocConfig(width=8, height=8, topology=topology, arbiter=arbiter),
+            NocConfig(width=8, height=8),
             "uniform",
             injection_rate=injection_rate,
             duration=duration,
@@ -115,24 +108,22 @@ def packet_uniform(
         )
         return result.sim_events, result.sim_cycles
 
-    name = "packet_uniform"
-    if (topology, arbiter) != ("mesh", "rr"):
-        name = f"packet_uniform[{topology}/{arbiter}]"
-    return _measure(name, run)
+    return _measure("packet_uniform", run)
 
 
 # ----------------------------------------------------------------------
 # 3. Flit-level NoC
 # ----------------------------------------------------------------------
-def flit_uniform(
-    packets: int = 1_200, seed: int = 11, engine: str = "event"
-) -> WorkloadResult:
-    """Uniform-random packets through the flit-level validation model."""
-    from ..noc.vecflit import make_flit_network
+def flit_uniform(packets: int = 1_200, seed: int = 11) -> WorkloadResult:
+    """Uniform-random packets through the flit-level validation model.
+
+    ``cycles`` is the cycle of the last delivery (the work done), not
+    the ``sim.run`` horizon."""
+    from ..noc.flitsim import FlitNetwork
 
     def run():
         sim = Simulator()
-        net = make_flit_network(sim, NocConfig(width=8, height=8), engine)
+        net = FlitNetwork(sim, NocConfig(width=8, height=8))
         rng = make_rng(seed, "perf/flit")
         n = net.mesh.num_nodes
         for i in range(packets):
@@ -146,70 +137,9 @@ def flit_uniform(
                 lambda s=src, d=dst, l=length: net.send(s, d, l),
             )
         sim.run(until=2_000_000)
-        return sim.events_processed, sim.cycle
+        return sim.events_processed, net.delivered[-1].delivered_cycle
 
     return _measure("flit_uniform", run)
-
-
-def flit_vector_uniform(
-    packets: int = 1_200, seed: int = 11, engine: str = "vector"
-) -> WorkloadResult:
-    """Uniform-random streaming data packets, vector engine, 16x16 mesh.
-
-    The shape plays to what a cycle-batched fabric amortizes: every
-    packet is a full 8-flit data burst (maximum hop events per router
-    tick) on a 16x16 mesh (4x the routers of ``flit_uniform``, so each
-    stepped cycle carries 4x the work per Python-level dispatch).  The
-    event engine pays per flit-hop callback either way, which is what
-    the ``flit_uniform`` baseline comparison measures.
-    """
-    from ..noc.vecflit import make_flit_network
-
-    def run():
-        sim = Simulator()
-        net = make_flit_network(sim, NocConfig(width=16, height=16), engine)
-        rng = make_rng(seed, "perf/flit")
-        n = net.mesh.num_nodes
-        for i in range(packets):
-            src = rng.randrange(n)
-            dst = rng.randrange(n)
-            while dst == src:
-                dst = rng.randrange(n)
-            sim.schedule_at(i // 2, net.send, src, dst, 8)
-        sim.run(until=2_000_000)
-        return sim.events_processed, sim.cycle
-
-    return _measure("flit_vector_uniform", run)
-
-
-def flit_big_mesh(
-    packets: int = 4_800, seed: int = 11, engine: str = "vector"
-) -> WorkloadResult:
-    """Dense mixed-size traffic on a 16x16 mesh under the vector engine.
-
-    The big-mesh scaling workload (ROADMAP: push iNPG's placement study
-    past the paper's 8x8): ``flit_uniform``'s 8:1/1:1 length mix at 4x
-    the packet count and 8 injections per cycle, exercising HOL blocking
-    and VC contention at a mesh size the event engine makes painful.
-    """
-    from ..noc.vecflit import make_flit_network
-
-    def run():
-        sim = Simulator()
-        net = make_flit_network(sim, NocConfig(width=16, height=16), engine)
-        rng = make_rng(seed, "perf/flit")
-        n = net.mesh.num_nodes
-        for i in range(packets):
-            src = rng.randrange(n)
-            dst = rng.randrange(n)
-            while dst == src:
-                dst = rng.randrange(n)
-            length = 8 if i % 4 == 0 else 1
-            sim.schedule_at(i // 8, net.send, src, dst, length)
-        sim.run(until=2_000_000)
-        return sim.events_processed, sim.cycle
-
-    return _measure("flit_big_mesh", run)
 
 
 # ----------------------------------------------------------------------
@@ -353,8 +283,6 @@ WORKLOADS: Dict[str, Callable[[], WorkloadResult]] = {
     "kernel_chain": kernel_chain,
     "packet_uniform": packet_uniform,
     "flit_uniform": flit_uniform,
-    "flit_vector_uniform": flit_vector_uniform,
-    "flit_big_mesh": flit_big_mesh,
     "fig12_quick": fig12_quick,
     "dir_invalidation_storm": dir_invalidation_storm,
     "lock_handoff_chain": lock_handoff_chain,
@@ -366,39 +294,6 @@ QUICK_WORKLOADS = (
     "kernel_chain",
     "packet_uniform",
     "flit_uniform",
-    "flit_vector_uniform",
     "dir_invalidation_storm",
 )
 
-def with_flit_engine(engine: str) -> Dict[str, Callable[[], WorkloadResult]]:
-    """A ``WORKLOADS`` view with every flit workload forced to ``engine``.
-
-    The two engines are bit-exact, so the pinned event counts are
-    unchanged — only the rate moves.  Used by ``inpg-perf
-    --flit-engine`` for A/B runs; the committed gate numbers always use
-    each workload's canonical engine.
-    """
-    out = dict(WORKLOADS)
-    out["flit_uniform"] = lambda: flit_uniform(engine=engine)
-    out["flit_vector_uniform"] = lambda: flit_vector_uniform(engine=engine)
-    out["flit_big_mesh"] = lambda: flit_big_mesh(engine=engine)
-    return out
-
-
-def with_topology(
-    topology: str, arbiter: str = "rr"
-) -> Dict[str, Callable[[], WorkloadResult]]:
-    """A ``WORKLOADS`` view with the packet workload on this fabric.
-
-    Unlike :func:`with_flit_engine` (whose engines are bit-exact), a
-    different topology or arbiter routes different work — event counts
-    move — so this view is exploratory only and the result carries a
-    ``packet_uniform[topology/arbiter]`` name that the pinned gate
-    entries never match.  The flit workloads are mesh-only and stay on
-    their canonical shapes.
-    """
-    out = dict(WORKLOADS)
-    out["packet_uniform"] = lambda: packet_uniform(
-        topology=topology, arbiter=arbiter
-    )
-    return out

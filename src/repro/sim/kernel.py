@@ -127,8 +127,6 @@ class Simulator:
         self.events_processed = 0
         self._cancelled = 0
         self._compactions = 0
-        #: cycle-batched co-simulated engine (Simulator.attach_stepper)
-        self._stepper = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -181,23 +179,6 @@ class Simulator:
             bucket.append(event)
         return event
 
-    def attach_stepper(self, stepper) -> None:
-        """Register a cycle-batched engine co-simulated with the run loop.
-
-        A stepper exposes ``next_cycle() -> Optional[int]`` (the cycle of
-        its next pending work) and ``advance_n(limit) -> int`` (advance
-        through every pending cycle <= ``limit``, returning how many
-        emulated events were processed — folded into
-        :attr:`events_processed`).  The run loop advances the stepper
-        *before* processing an event bucket at the same cycle, one
-        stepper cycle per iteration, so callbacks the stepper triggers
-        (delivery handlers scheduling kernel events) interleave exactly
-        as per-event scheduling would.
-        """
-        if self._stepper is not None and self._stepper is not stepper:
-            raise SimulationError("a stepper is already attached")
-        self._stepper = stepper
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -228,9 +209,8 @@ class Simulator:
         events = self.events_processed
         processed = 0
         limit = maxsize if max_events is None else max_events
-        stepper = self._stepper
         try:
-            while True:
+            while cycles:
                 if self._stopped:
                     break
                 if deadline is not None and perf_counter() >= deadline:
@@ -239,33 +219,7 @@ class Simulator:
                         f"({events:,} events processed)",
                         cycle=self.cycle,
                     )
-                knext = cycles[0] if cycles else None
-                if stepper is not None:
-                    # kernel-first at equal cycles: sends scheduled via
-                    # ``schedule_at(c, ...)`` land before cycle-c router
-                    # ticks, exactly as the event engine orders its
-                    # bucket.  One stepper cycle per iteration, so work
-                    # the stepper triggers (delivery handlers scheduling
-                    # events) is re-examined before it advances again.
-                    snext = stepper.next_cycle()
-                    if (
-                        snext is not None
-                        and (until is None or snext <= until)
-                        and (knext is None or snext < knext)
-                    ):
-                        n = stepper.advance_n(snext)
-                        events += n
-                        processed += n
-                        if processed >= limit:
-                            break
-                        continue
-                if knext is None:
-                    # drained (any remaining stepper work lies beyond
-                    # ``until``): fast-forward like the pure-event loop
-                    if until is not None and until > self.cycle:
-                        self.cycle = until
-                    break
-                cycle = knext
+                cycle = cycles[0]
                 bucket = buckets[cycle]
                 # reap head corpses before they can advance the clock
                 i = 0
@@ -325,6 +279,9 @@ class Simulator:
                     break
                 del buckets[cycle]
                 heappop(cycles)
+            else:
+                if until is not None and until > self.cycle:
+                    self.cycle = until
         finally:
             self._active_bucket = None
             self._running = False

@@ -97,17 +97,9 @@ class ManyCoreSystem:
                     "iNPG requires the packet-level network model; "
                     "disable noc.flit_level or inpg"
                 )
-            # the vector engine batches whole cycles, so there is no
-            # per-event site to emit trace records from: observed runs
-            # fall back to the (bit-exact) event engine reference.
-            if config.noc.flit_engine == "vector" and observe is None:
-                from .noc.vecflit import VectorFlitFabric
+            from .noc.flit_fabric import FlitFabric
 
-                self.network = VectorFlitFabric(self.sim, config.noc)
-            else:
-                from .noc.flit_fabric import FlitFabric
-
-                self.network = FlitFabric(self.sim, config.noc)
+            self.network = FlitFabric(self.sim, config.noc)
         else:
             self.network = Network(
                 self.sim,

@@ -43,6 +43,25 @@ class TestMain:
         assert "microbench [original/mcs]" in out
         assert "t0" in out  # gantt rows
 
+    def test_flit_level_runs_the_flit_fabric(self, capsys):
+        from dataclasses import replace
+
+        from repro.config import SystemConfig
+        from repro.exec import RunSpec
+        from repro.exec.executor import execute_spec
+
+        rc = main(["microbench", "--threads", "8", "--home", "27",
+                   "--primitive", "mcs", "--flit-level", "--no-cache",
+                   "--json"])
+        assert rc == 0
+        parsed = json.loads(capsys.readouterr().out)
+        flit = replace(SystemConfig().with_overrides(noc={"flit_level": True}),
+                       num_threads=8)
+        expected = execute_spec(RunSpec.microbench(
+            home_node=27, primitive="mcs", config=flit))
+        assert parsed["roi_cycles"] == expected.roi_cycles
+        assert parsed["network_packets"] == expected.network_packets
+
     def test_ttl_alias(self, capsys):
         rc = main(["vips", "--scale", "0.4", "--primitive", "TTL"])
         assert rc == 0
@@ -117,18 +136,19 @@ class TestSharedFlagVocabulary:
                 if "--jobs" in action.option_strings:
                     assert "-j" in action.option_strings, name
 
-    def test_flit_engine_spelled_identically(self):
-        from repro.perf.report import main as perf_main  # parser inline
-        base = self._flag_help(self._parsers()["inpg-sim"], "--flit-engine")
-        assert base is not None and base.startswith(
-            "run the NoC at flit granularity")
+    def test_flit_level_flag_on_sim_only(self):
+        parsers = self._parsers()
+        assert self._flag_help(parsers["inpg-sim"], "--flit-level")
+        for name in ("inpg-experiments", "inpg-faults", "inpg-serve"):
+            assert self._flag_help(parsers[name], "--flit-level") is None
+            assert self._flag_help(parsers[name], "--flit-engine") is None
 
     def test_trace_with_remote_rejected(self):
         rc = main(["vips", "--trace", "--remote", "http://127.0.0.1:1"])
         assert rc == 2
 
     def test_axis_flags_shared_between_sim_and_experiments(self):
-        """All four simulation axes (repro.api.describe_axes) are spelled
+        """All simulation axes (repro.api.describe_axes) are spelled
         identically — same flag, same help, same choices — on inpg-sim
         and inpg-experiments."""
         from repro.api import describe_axes

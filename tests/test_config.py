@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import (
     ARBITERS,
-    FLIT_ENGINES,
     MECHANISMS,
     PLACEMENTS,
     PROTOCOL_NAMES,
@@ -13,6 +12,8 @@ from repro.config import (
     InpgConfig,
     NocConfig,
     SystemConfig,
+    config_from_dict,
+    config_to_dict,
     describe_axes,
 )
 
@@ -116,13 +117,12 @@ class TestAxisVocabulary:
         assert cfg.noc.arbiter == ARBITERS[0]
         assert cfg.inpg.placement == PLACEMENTS[0]
         assert cfg.protocol == PROTOCOL_NAMES[0]
-        assert cfg.noc.flit_engine == FLIT_ENGINES[0]
 
     def test_describe_axes_is_consistent(self):
         axes = describe_axes()
-        # the four CLI-reachable axes; big-router placement is config-only
-        assert set(axes) == {"protocol", "flit_engine", "topology",
-                             "arbiter"}
+        # the three CLI-reachable axes; big-router placement is
+        # config-only
+        assert set(axes) == {"protocol", "topology", "arbiter"}
         for name, axis in axes.items():
             assert axis["default"] == axis["choices"][0], name
             section, _, field = axis["config_field"].partition(".")
@@ -134,11 +134,18 @@ class TestAxisVocabulary:
     @pytest.mark.parametrize("field,value", [
         ("topology", "hypercube"),
         ("arbiter", "lottery"),
-        ("flit_engine", "sharded"),
     ])
     def test_invalid_axis_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             NocConfig(**{field: value})
+
+    def test_removed_flit_engine_field_refused(self):
+        # the deleted vector engine's axis: a payload naming it must not
+        # be silently read as the event engine
+        payload = config_to_dict(SystemConfig())
+        payload["noc"]["flit_engine"] = "event"
+        with pytest.raises(TypeError, match="flit_engine"):
+            config_from_dict(payload)
 
     def test_invalid_wrr_weights_rejected(self):
         with pytest.raises(ValueError):

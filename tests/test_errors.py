@@ -1,6 +1,10 @@
 """The unified exception hierarchy (repro.errors) and its re-homing."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +110,16 @@ class TestFacadeExports:
 
     def test_api_exposes_the_module(self):
         assert api.errors is errors
+
+    def test_api_import_leaves_numpy_out(self):
+        # a fresh interpreter, so modules other tests imported cannot
+        # mask (or cause) the import
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent))
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.api; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert probe.returncode == 0, probe.stderr[-2000:]
+        assert probe.stdout.strip() == "False"

@@ -169,7 +169,7 @@ class TestReportSchema:
         assert "seed" in report["baselines"]
         assert len(report["baselines"]) >= 2
         for name in ("dir_invalidation_storm", "lock_handoff_chain",
-                     "flit_vector_uniform", "flit_big_mesh"):
+                     "flit_uniform"):
             assert name in report["workloads"]
         # chronology is explicit: every committed baseline is ordered
         # and the seed is oldest
@@ -229,7 +229,6 @@ class TestLayerAttribution:
             ("/x/src/repro/noc/router.py", "noc"),
             ("/x/src/repro/noc/packet.py", "noc"),
             ("/x/src/repro/noc/flitsim.py", "noc-flit"),
-            ("/x/src/repro/noc/vecflit.py", "noc-flit"),
             ("/x/src/repro/noc/flit_fabric.py", "noc-flit"),
             ("/x/src/repro/coherence/directory.py", "coherence"),
             ("/x/src/repro/inpg/big_router.py", "coherence"),

@@ -370,7 +370,7 @@ class TestNetworkIntegration:
 
 
 class TestFlitEngineGuard:
-    """The flit engines model a mesh pipeline; other fabrics must fail
+    """The flit engine models a mesh pipeline; other fabrics must fail
     loudly and structurally, never silently route as a mesh."""
 
     def _check(self, exc):
@@ -388,16 +388,6 @@ class TestFlitEngineGuard:
                                                topology=topology))
         self._check(excinfo.value)
         assert excinfo.value.model == "flit/event"
-
-    @pytest.mark.parametrize("topology", ["torus", "ring"])
-    def test_vector_engine_rejects(self, topology):
-        from repro.noc.vecflit import VectorFlitNetwork
-
-        with pytest.raises(UnsupportedTopology) as excinfo:
-            VectorFlitNetwork(NocConfig(width=4, height=4,
-                                        topology=topology))
-        self._check(excinfo.value)
-        assert excinfo.value.model == "flit/vector"
 
 
 class TestPlacement:
