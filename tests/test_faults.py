@@ -265,6 +265,16 @@ class TestFaultDeterminism:
         assert first == second
         assert first[0] != GOLDEN_RUNS[("bwaves", "original")][0]
 
+    def test_link_delay_outcome_is_pinned(self):
+        """Delays on two links of one XY path re-enter the datapath
+        through the wrapped port hand-off; the outcome is pinned."""
+        plan = FaultPlan.parse(
+            "delay:0.2@link:9->10+4,delay:0.2@link:10->18+4", seed=3
+        )
+        assert self._faulted_outcome(plan) == (
+            "85393ecb99884b53a07996b266ff8116", "done", 4199, 1157
+        )
+
     def test_plan_seed_changes_the_run(self):
         a = self._faulted_outcome(FaultPlan.parse("delay:0.3+16", seed=1))
         b = self._faulted_outcome(FaultPlan.parse("delay:0.3+16", seed=2))

@@ -84,6 +84,29 @@ GOLDEN_ARBITER_RUNS = {
         ("30007f6d38a80ab61d4c20f30a5f96d6", 4184, 1157, 26535),
 }
 
+# same-cycle ordering pins (same scheme as GOLDEN_RUNS): every pin above
+# runs QSL without priority arbitration, where a reorder of same-cycle NoC
+# entries can leave the delivery stream untouched.  Ticket and MCS locks,
+# OCOR's priority arbitration and the WRR arbiter expose such reorders,
+# so these pins catch a datapath change that moves an entry within its
+# cycle.  Key: (benchmark, mechanism, primitive, arbiter).
+GOLDEN_ORDERING_RUNS = {
+    ("bodytrack", "original", "ticket", "rr"):
+        ("611d36bc910b811fb8c9a66be579443c", 7017, 3492, 96285),
+    ("bodytrack", "inpg", "ticket", "rr"):
+        ("a541450c9dc920aa796403511e23d1f1", 7020, 3565, 97888),
+    ("bodytrack", "original", "mcs", "rr"):
+        ("436cf0fcc9d7de29b97ea27cf83aec9a", 4686, 2156, 47415),
+    ("imagick", "original", "ticket", "rr"):
+        ("45391b8d85b88d2137c9aef66fdd40c1", 7246, 3124, 85381),
+    ("fluidanimate", "ocor", "qsl", "rr"):
+        ("9c3e47738f80eb5dd4c67bd8743d90f2", 13435, 9157, 242231),
+    ("fluidanimate", "inpg+ocor", "qsl", "rr"):
+        ("2e5559f1386948ec8501ddd929b0c398", 14890, 8684, 235689),
+    ("fluidanimate", "inpg", "qsl", "wrr"):
+        ("48336c40dd124b85c8b07d8797c8abaa", 14648, 8420, 233169),
+}
+
 # dir_invalidation_storm per protocol (load-first rounds, so the MESI
 # exclusive grant fires and all three streams diverge).
 GOLDEN_PROTOCOL_STORM = {
@@ -169,6 +192,23 @@ class TestGoldenFig12:
         assert fingerprint_run(bench, mechanism, observe=observe) == \
             GOLDEN_RUNS[(bench, mechanism)]
         assert observe.records(), "tracer captured no events"
+
+
+class TestGoldenOrdering:
+    """Lock primitives, priority arbitration and WRR pin the same-cycle
+    order of NoC entries that the QSL pins above cannot see."""
+
+    @pytest.mark.parametrize(
+        "bench,mechanism,primitive,arbiter", sorted(GOLDEN_ORDERING_RUNS),
+        ids=["/".join(key) for key in sorted(GOLDEN_ORDERING_RUNS)],
+    )
+    def test_pinned_fingerprint(self, bench, mechanism, primitive, arbiter):
+        from repro.config import SystemConfig
+
+        config = SystemConfig().with_overrides(noc={"arbiter": arbiter})
+        assert fingerprint_run(
+            bench, mechanism, primitive=primitive, config=config
+        ) == GOLDEN_ORDERING_RUNS[(bench, mechanism, primitive, arbiter)]
 
 
 def fingerprint_perf_workload(name, **workload_kwargs):
