@@ -3,11 +3,11 @@
 The :class:`FaultInjector` realizes a :class:`~repro.faults.plan.FaultPlan`
 against a built network.  Installation is *surgical*: only the routers,
 links and injection points the plan names pay anything — a faulted router
-gets an instance-level ``accept`` wrapper, a faulted link gets its
-pre-bound grant handler wrapped, and injection sites rebind the network's
-class-level ``_fault_inject = None`` guard (the same zero-cost pattern as
-the ``repro.obs`` ``_trace`` emitters).  A run without a plan executes
-byte-identical code to one built before this module existed.
+gets an instance-level ``accept`` wrapper, a faulted link gets its port
+hand-off wrapped (``Router.wrap_link``), and injection sites rebind the
+network's class-level ``_fault_inject = None`` guard (the same zero-cost
+pattern as the ``repro.obs`` ``_trace`` emitters).  A run without a plan
+executes byte-identical code to one built before this module existed.
 
 Determinism: fault decisions draw from the plan's own
 :func:`repro.sim.make_rng` stream (seeded by ``plan.seed``, label
@@ -85,13 +85,13 @@ class FaultInjector:
                     self._wrap_router(router, sites)
                     faulted = True
             if faulted:
-                # grant handlers captured each neighbour's ``accept`` at
-                # construction; re-wire so they see the fault wrappers.
+                # ports bound each neighbour's ``accept`` at wiring;
+                # re-wire so they bind the fault wrappers.
                 for router in routers.values():
                     router.wire()
             for (src, dst), sites in per_link.items():
                 router = routers.get(src)
-                if router is None or dst not in router._grant_handlers:
+                if router is None or dst == src or dst not in router.ports:
                     raise ValueError(f"no link {src}->{dst} in this mesh")
                 self._wrap_link(router, dst, tuple(sites))
         elif wildcard or per_router or per_link:

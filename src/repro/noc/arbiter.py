@@ -24,7 +24,7 @@ default ``"rr"`` path in :mod:`repro.noc.port` is untouched.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim import Simulator
 from .packet import Packet
@@ -62,10 +62,8 @@ class WeightedRoundRobinArbiter:
             )
         self.priority_aware = priority_aware
         self._weights = weights
-        #: class id -> heap of (key, packet, on_granted)
-        self._queues: Dict[
-            int, List[Tuple[_ClassKey, Packet, Callable[[Packet], None]]]
-        ] = {}
+        #: class id -> heap of (key, packet)
+        self._queues: Dict[int, List[Tuple[_ClassKey, Packet]]] = {}
         self._seq = 0
         self._active: Optional[int] = None
         self._credits = 0
@@ -74,22 +72,18 @@ class WeightedRoundRobinArbiter:
     def weight_of(self, vnet: int) -> int:
         return self._weights[vnet % len(self._weights)]
 
-    def push(
-        self, packet: Packet, on_granted: Callable[[Packet], None], now: int
-    ) -> None:
+    def push(self, packet: Packet, now: int) -> None:
         priority = packet.priority if self.priority_aware else 0
         key = (-priority, now, self._seq)
         self._seq += 1
         queue = self._queues.get(packet.vnet)
         if queue is None:
             queue = self._queues[packet.vnet] = []
-        heapq.heappush(queue, (key, packet, on_granted))
+        heapq.heappush(queue, (key, packet))
         self.pending += 1
 
-    def pop(
-        self,
-    ) -> Optional[Tuple[int, Packet, Callable[[Packet], None]]]:
-        """Grant the next request: ``(arrival_cycle, packet, on_granted)``.
+    def pop(self) -> Optional[Tuple[int, Packet]]:
+        """Grant the next request: ``(arrival_cycle, packet)``.
 
         Returns ``None`` when nothing is queued.
         """
@@ -101,9 +95,9 @@ class WeightedRoundRobinArbiter:
             self._active = cls
             self._credits = self.weight_of(cls)
         self._credits -= 1
-        key, packet, on_granted = heapq.heappop(self._queues[cls])
+        key, packet = heapq.heappop(self._queues[cls])
         self.pending -= 1
-        return key[1], packet, on_granted
+        return key[1], packet
 
     def _next_class(self, after: Optional[int]) -> int:
         backlogged = sorted(c for c, q in self._queues.items() if q)
@@ -119,8 +113,11 @@ class WrrOutputPort(OutputPort):
 
     Statistics contracts are identical to the base port (``packets_sent``,
     ``flits_sent``, ``total_wait_cycles``, ``peak_queue_depth``), so the
-    ``repro.obs`` registry aggregates both kinds transparently.
+    ``repro.obs`` registry aggregates both kinds transparently.  The
+    queue lives in the arbiter, so this port keeps its own release.
     """
+
+    __slots__ = ("_arbiter",)
 
     def __init__(
         self,
@@ -132,28 +129,31 @@ class WrrOutputPort(OutputPort):
         super().__init__(sim, name, priority_aware)
         self._arbiter = WeightedRoundRobinArbiter(weights, priority_aware)
 
-    def request(
-        self, packet: Packet, on_granted: Callable[[Packet], None]
-    ) -> None:
+    def request(self, packet: Packet) -> None:
         arbiter = self._arbiter
         if not self._busy and arbiter.pending == 0:
             # same uncontended fast path (and stats invariant) as the base
             if self._peak_queue_depth == 0:
                 self._peak_queue_depth = 1
-            self._grant(packet, on_granted)
+            self._grant(packet)
             return
-        arbiter.push(packet, on_granted, self.now)
+        arbiter.push(packet, self.sim.cycle)
         if arbiter.pending > self._peak_queue_depth:
             self._peak_queue_depth = arbiter.pending
+
+    def _pass_head_and_release(self, packet: Packet) -> None:
+        self.sim.fused_events += 1
+        self._pass_head(packet)
+        self._grant_next()
 
     def _grant_next(self) -> None:
         granted = self._arbiter.pop()
         if granted is None:
             self._busy = False
             return
-        arrival, packet, on_granted = granted
-        self.total_wait_cycles += self.now - arrival
-        self._grant(packet, on_granted)
+        arrival, packet = granted
+        self.total_wait_cycles += self.sim.cycle - arrival
+        self._grant(packet)
 
     @property
     def queue_depth(self) -> int:

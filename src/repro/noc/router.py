@@ -13,10 +13,10 @@ router, **before** route computation.  Normal routers always let packets
 continue; the iNPG big router overrides it to stop lock requests and
 generate early invalidations (``repro.inpg.big_router``).
 
-Datapath hot path: routing uses the mesh's precomputed next-hop row, and
-every event is scheduled as ``(bound method, packet)`` — no closures are
-allocated per hop.  Link-grant handlers are built once per output port
-when the network wires the routers together (:meth:`wire`).
+Datapath hot path: every output port is bound to its downstream once, at
+wiring (:meth:`Router.wire`), and ``accept`` schedules the request of the
+output port toward the packet's destination directly — one indexed load
+per hop, no closures or per-hop routing calls.
 """
 
 from __future__ import annotations
@@ -59,23 +59,24 @@ class Router(Component):
         #: row[dst] -> next node on the routing path (shared, precomputed)
         topo = network.mesh
         self._hop_row = topo.next_hop_row(node)
+        requests = {hop: port.request for hop, port in self.ports.items()}
+        #: row[dst] -> request of the output port toward dst (the local
+        #: ejection port for dst == node); accept() schedules it directly
+        self._dest = list(map(requests.__getitem__, self._hop_row))
         if topo.has_datelines:
             #: row[dst] -> the hop toward dst wraps around a dateline
             self._dateline_row = tuple(
                 hop != node and topo.crosses_dateline(node, hop)
                 for hop in self._hop_row
             )
-            # instance-level rebind: only wraparound topologies pay the
-            # dateline check; the mesh datapath is untouched.
-            self._route = self._route_dateline
+            # only destinations behind a dateline pay the escalation;
+            # the mesh datapath is untouched.
+            for dst, crosses in enumerate(self._dateline_row):
+                if crosses:
+                    self._dest[dst] = self._route_dateline
         #: subclasses that override inspect() pay for the hook; the base
         #: router skips the call entirely.
         self._inspects = type(self).inspect is not Router.inspect
-        #: per-output-port grant handlers, built by wire()
-        self._grant_handlers: Dict[int, Callable[[Packet], None]] = {}
-        #: row[dst] -> (output_port.request, grant handler) pair, built by
-        #: wire(); collapses routing to one indexed load per hop.
-        self._dest: list = []
         self._record_trace = network.record_traces
         self._schedule = sim.schedule
 
@@ -83,44 +84,23 @@ class Router(Component):
     # Wiring (called by the network once all routers exist)
     # ------------------------------------------------------------------
     def wire(self) -> None:
-        """Pre-bind the downstream ``accept`` of each neighbour so a port
-        grant schedules the link traversal without allocating a closure.
+        """Bind every output port's downstream: a neighbour port hands
+        the head flit to that neighbour's ``accept`` after the link
+        delay, the local port to this router's ejection.
 
         Idempotent, and deliberately so: ``repro.faults`` installs
         per-router fault wrappers as instance-level ``accept``
-        attributes, then re-runs ``wire()`` on every router so the
-        pre-bound handlers capture the wrapped entry points (link-site
-        wrappers are layered afterwards via :meth:`wrap_link`)."""
-        schedule = self.sim.schedule
+        attributes, then re-runs ``wire()`` on every router so the ports
+        bind the wrapped entry points (link-site wrappers are layered
+        afterwards via :meth:`wrap_link`)."""
+        routers = self.network.routers
         link = self.link_cycles
-        for neighbor in self.network.mesh.neighbors(self.node):
-            accept = self.network.routers[neighbor].accept
-
-            def on_granted(packet: Packet, _accept=accept) -> None:
-                schedule(link, _accept, packet)
-
-            self._grant_handlers[neighbor] = on_granted
-        self._deliver = self.network.deliver_local
-        self._rebuild_dispatch()
-
-    def _rebuild_dispatch(self) -> None:
-        """Precompute ``dst -> (port.request, grant handler)`` so the
-        datapath resolves a destination with one list index instead of a
-        next-hop row read plus two dict lookups.  Re-run whenever the
-        grant handlers change (``wire()`` / :meth:`wrap_link`)."""
-        node = self.node
-        hop_row = self._hop_row
-        dest = []
-        for dst in range(self.network.mesh.num_nodes):
-            if dst == node:
-                dest.append((self.ports[node].request, self._eject))
+        for hop, port in self.ports.items():
+            if hop == self.node:
+                port.bind(self._eject)
             else:
-                next_node = hop_row[dst]
-                dest.append(
-                    (self.ports[next_node].request,
-                     self._grant_handlers[next_node])
-                )
-        self._dest = dest
+                port.bind(routers[hop].accept, link)
+        self._deliver = self.network.deliver_local
 
     def wrap_link(
         self,
@@ -129,16 +109,18 @@ class Router(Component):
     ) -> None:
         """Interpose on the outgoing link toward ``neighbor``.
 
-        ``wrap`` receives the current grant handler and returns the
-        replacement; the fault injector uses this to model lossy/slow
-        links without touching the uncontended datapath.
+        ``wrap`` receives the port's current hand-off (a ``(packet)``
+        callable that sends the head flit over the link) and returns the
+        replacement, which the port then calls at each hand-off; the
+        fault injector uses this to model lossy/slow links without
+        touching the uncontended datapath.
         """
-        if neighbor not in self._grant_handlers:
+        if neighbor == self.node or neighbor not in self.ports:
             raise ValueError(
                 f"router {self.node} has no link toward {neighbor}"
             )
-        self._grant_handlers[neighbor] = wrap(self._grant_handlers[neighbor])
-        self._rebuild_dispatch()
+        port = self.ports[neighbor]
+        port.bind(wrap(port.hand_off))
 
     # ------------------------------------------------------------------
     # Hook for subclasses (big router)
@@ -166,28 +148,22 @@ class Router(Component):
             t.append(self.node)
         if self._inspects and self.inspect(packet) == STOPPED:
             return
-        self._schedule(self.pipeline_cycles, self._route, packet)
-
-    def _route(self, packet: Packet) -> None:
-        request, on_granted = self._dest[packet.dst]
-        request(packet, on_granted)
+        self._schedule(self.pipeline_cycles, self._dest[packet.dst], packet)
 
     def _route_dateline(self, packet: Packet) -> None:
-        """Route variant for wraparound topologies (torus/ring).
+        """Route toward a destination whose next hop wraps around a
+        dateline (torus/ring).
 
-        A packet whose next hop crosses a dateline escalates once to the
-        dateline VC class (``vnet + 2``) — the model of the dateline
-        virtual channels that break the ring channel-dependency cycle
-        (DESIGN.md §15).  Installed as an instance attribute by
-        ``__init__`` so mesh routers never test for datelines.
+        The packet escalates once to the dateline VC class
+        (``vnet + 2``) — the model of the dateline virtual channels that
+        break the ring channel-dependency cycle (DESIGN.md §15).
+        ``__init__`` puts it in the destination row only for such
+        destinations, so mesh routers never test for datelines.
         """
-        dst = packet.dst
-        if self._dateline_row[dst]:
-            self.network.dateline_crossings += 1
-            if packet.vnet < 2:
-                packet.vnet += 2
-        request, on_granted = self._dest[dst]
-        request(packet, on_granted)
+        self.network.dateline_crossings += 1
+        if packet.vnet < 2:
+            packet.vnet += 2
+        self.ports[self._hop_row[packet.dst]].request(packet)
 
     def _eject(self, packet: Packet) -> None:
         # the endpoint has the packet when the tail flit arrives
@@ -197,4 +173,4 @@ class Router(Component):
     def forward_now(self, packet: Packet) -> None:
         """Re-enter the datapath at this router (used by big routers to
         send generated or converted packets on their way)."""
-        self._schedule(self.pipeline_cycles, self._route, packet)
+        self._schedule(self.pipeline_cycles, self._dest[packet.dst], packet)

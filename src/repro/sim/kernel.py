@@ -9,17 +9,17 @@ cycle fire in the order they were scheduled (FIFO tie-break), so a run is
 a pure function of its configuration and seed.
 
 Performance: events live in per-cycle FIFO *buckets* — a dict mapping
-cycle -> flat list of ``fn, args`` pairs (stride 2) — plus a small heap of
-the distinct pending cycles.  Scheduling the common case is one dict
-lookup and two list appends; the heap is only touched when a new cycle
+cycle -> list of ``(fn, args)`` tuples, one per entry — plus a small heap
+of the distinct pending cycles.  Scheduling the common case is one dict
+lookup and one list append; the heap is only touched when a new cycle
 first appears, so the number of heap operations scales with the number of
 distinct cycles rather than the number of events (a fig12 run schedules
 ~6.5M events across ~400k cycles).  Bucket order *is* FIFO order, which
 preserves the exact tie-break semantics of the earlier single-heap
 implementation.  Cancellable timers (the rare case: TTL countdowns,
 retractable timeouts) go through :meth:`Simulator.schedule_cancellable`,
-which allocates an :class:`Event` stored as a ``_CANCELLABLE, event``
-pair; cancelled entries are lazily skipped and the buckets are compacted
+which allocates an :class:`Event` stored as a ``(_CANCELLABLE, event)``
+entry; cancelled entries are lazily skipped and the buckets are compacted
 when corpses pile up (lock-retry storms re-arm TTLs constantly).
 """
 
@@ -93,8 +93,8 @@ class _Cancellable:
         return "<cancellable>"
 
 
-#: singleton marker: a bucket entry ``_CANCELLABLE, event`` wraps an
-#: :class:`Event`; every other entry is a plain ``fn, args`` pair.
+#: singleton marker: a bucket entry ``(_CANCELLABLE, event)`` wraps an
+#: :class:`Event`; every other entry is a plain ``(fn, args)`` tuple.
 _CANCELLABLE = _Cancellable()
 
 
@@ -113,7 +113,7 @@ class Simulator:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        #: cycle -> flat FIFO bucket [fn0, args0, fn1, args1, ...]
+        #: cycle -> FIFO bucket [(fn0, args0), (fn1, args1), ...]
         self._buckets: Dict[int, list] = {}
         #: heap of the distinct cycles present in ``_buckets``
         self._cycles: List[int] = []
@@ -124,7 +124,11 @@ class Simulator:
         self.cycle = 0
         self._running = False
         self._stopped = False
-        self.events_processed = 0
+        #: entries the run loop dispatched
+        self._dispatched = 0
+        #: entries a component ran inside the entry adjacent to them
+        #: instead of scheduling them (see :attr:`events_processed`)
+        self.fused_events = 0
         self._cancelled = 0
         self._compactions = 0
 
@@ -146,11 +150,10 @@ class Simulator:
         cycle = self.cycle + delay
         bucket = self._buckets.get(cycle)
         if bucket is None:
-            self._buckets[cycle] = [fn, args]
+            self._buckets[cycle] = [(fn, args)]
             heappush(self._cycles, cycle)
         else:
-            bucket.append(fn)
-            bucket.append(args)
+            bucket.append((fn, args))
 
     def schedule_at(self, cycle: int, fn: Callable[..., None], *args) -> None:
         """Schedule ``fn(*args)`` at an absolute ``cycle`` (>= current cycle)."""
@@ -172,11 +175,10 @@ class Simulator:
         self._seq += 1
         bucket = self._buckets.get(cycle)
         if bucket is None:
-            self._buckets[cycle] = [_CANCELLABLE, event]
+            self._buckets[cycle] = [(_CANCELLABLE, event)]
             heapq.heappush(self._cycles, cycle)
         else:
-            bucket.append(_CANCELLABLE)
-            bucket.append(event)
+            bucket.append((_CANCELLABLE, event))
         return event
 
     # ------------------------------------------------------------------
@@ -189,7 +191,12 @@ class Simulator:
         deadline: Optional[float] = None,
     ) -> int:
         """Run until the event queue drains, ``until`` cycles pass, or
-        ``max_events`` events are processed.  Returns the final cycle.
+        ``max_events`` entries are dispatched.  Returns the final cycle.
+
+        ``max_events`` counts the entries this call dispatches, not
+        :attr:`events_processed`: an entry that runs a fused neighbour
+        (see :attr:`fused_events`) counts once here, so the run halts
+        between entries, never inside a fused pair.
 
         ``deadline`` is an absolute ``time.perf_counter()`` timestamp:
         once the wall clock passes it the kernel raises
@@ -206,7 +213,7 @@ class Simulator:
         cycles = self._cycles
         heappop = heapq.heappop
         canc = _CANCELLABLE
-        events = self.events_processed
+        events = self._dispatched
         processed = 0
         limit = maxsize if max_events is None else max_events
         try:
@@ -216,7 +223,7 @@ class Simulator:
                 if deadline is not None and perf_counter() >= deadline:
                     raise RunTimeout(
                         f"wall-clock budget exhausted at cycle {self.cycle} "
-                        f"({events:,} events processed)",
+                        f"({events + self.fused_events:,} events processed)",
                         cycle=self.cycle,
                     )
                 cycle = cycles[0]
@@ -224,10 +231,13 @@ class Simulator:
                 # reap head corpses before they can advance the clock
                 i = 0
                 n = len(bucket)
-                while i < n and bucket[i] is canc and bucket[i + 1].cancelled:
-                    bucket[i + 1]._dead = True
+                while i < n and bucket[i][0] is canc:
+                    event = bucket[i][1]
+                    if not event.cancelled:
+                        break
+                    event._dead = True
                     self._cancelled -= 1
-                    i += 2
+                    i += 1
                 if i == n:
                     del buckets[cycle]
                     heappop(cycles)
@@ -248,9 +258,8 @@ class Simulator:
                 i = 0
                 try:
                     while i < len(bucket):
-                        fn = bucket[i]
-                        arg = bucket[i + 1]
-                        i += 2
+                        fn, arg = bucket[i]
+                        i += 1
                         if fn is canc:
                             if arg.cancelled:
                                 self._cancelled -= 1
@@ -285,7 +294,7 @@ class Simulator:
         finally:
             self._active_bucket = None
             self._running = False
-            self.events_processed = events
+            self._dispatched = events
         return self.cycle
 
     def stop(self) -> None:
@@ -324,15 +333,13 @@ class Simulator:
                 continue
             live: list = []
             append = live.append
-            for i in range(0, len(bucket), 2):
-                fn = bucket[i]
-                arg = bucket[i + 1]
+            for entry in bucket:
+                fn, arg = entry
                 if fn is canc and arg.cancelled:
                     arg._dead = True
                     reaped += 1
                 else:
-                    append(fn)
-                    append(arg)
+                    append(entry)
             if live:
                 if len(live) != len(bucket):
                     bucket[:] = live
@@ -357,13 +364,26 @@ class Simulator:
         return self._compactions
 
     @property
+    def events_processed(self) -> int:
+        """Events run so far: entries dispatched plus :attr:`fused_events`.
+
+        A component may run an entry inside the one adjacent to it in
+        its bucket instead of scheduling it (a 1-flit port grant's head
+        hand-off and port release, DESIGN.md §8); counting the fused
+        entry keeps this the number of events the unfused schedule
+        runs.  Read-only; inside a run the dispatched part lags until
+        :meth:`run` returns.
+        """
+        return self._dispatched + self.fused_events
+
+    @property
     def pending_events(self) -> int:
         """Number of queued entries, including cancelled corpses awaiting
         lazy deletion (see :attr:`live_pending_events`)."""
         total = 0
         for bucket in self._buckets.values():
             total += len(bucket)
-        return total // 2
+        return total
 
     @property
     def live_pending_events(self) -> int:
@@ -380,10 +400,13 @@ class Simulator:
             bucket = buckets[cycle]
             i = 0
             n = len(bucket)
-            while i < n and bucket[i] is canc and bucket[i + 1].cancelled:
-                bucket[i + 1]._dead = True
+            while i < n and bucket[i][0] is canc:
+                event = bucket[i][1]
+                if not event.cancelled:
+                    break
+                event._dead = True
                 self._cancelled -= 1
-                i += 2
+                i += 1
             if i:
                 del bucket[:i]
             if bucket:
@@ -397,10 +420,7 @@ class Simulator:
         pending: List[Tuple[int, Callable[[], None]]] = []
         canc = _CANCELLABLE
         for cycle in sorted(self._buckets):
-            bucket = self._buckets[cycle]
-            for i in range(0, len(bucket), 2):
-                fn = bucket[i]
-                arg = bucket[i + 1]
+            for fn, arg in self._buckets[cycle]:
                 if fn is canc:
                     if arg.cancelled:
                         continue

@@ -144,6 +144,100 @@ class TestExecution:
         assert sim.events_processed == 4
 
 
+class TestFusedEntries:
+    """An entry may run the entry adjacent to it and count it in
+    ``fused_events``; ``events_processed`` counts both, ``max_events``
+    only what the run loop dispatched."""
+
+    @staticmethod
+    def _fusing(sim, log, tag):
+        def entry():
+            sim.fused_events += 1
+            log.append(tag)
+        return entry
+
+    def test_fused_pair_counts_as_two_events(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1, self._fusing(sim, log, "pair"))
+        sim.schedule(2, log.append, "single")
+        sim.run()
+        assert log == ["pair", "single"]
+        assert sim.fused_events == 1
+        assert sim.events_processed == 3
+
+    def test_max_events_counts_dispatched_entries(self):
+        sim = Simulator()
+        log = []
+        for i in range(5):
+            sim.schedule(1, self._fusing(sim, log, i))
+        sim.run(max_events=2)
+        assert log == [0, 1]
+        assert sim.events_processed == 4  # two entries, each a pair
+        assert sim.pending_events == 3
+        sim.run(max_events=2)
+        assert log == [0, 1, 2, 3]
+        assert sim.events_processed == 8
+
+    def test_counts_accumulate_across_runs(self):
+        sim = Simulator()
+        sim.schedule(1, self._fusing(sim, [], "a"))
+        sim.schedule(5, lambda: None)
+        sim.run(until=3)
+        assert sim.events_processed == 2
+        sim.run()
+        assert sim.events_processed == 3
+
+
+class TestTupleEntries:
+    """Each bucket entry is one ``(fn, args)`` tuple; the queue views
+    count entries, not list slots."""
+
+    def test_pending_counts_one_per_entry(self):
+        sim = Simulator()
+        sim.schedule(2, print, "a", "b")
+        sim.schedule(2, lambda: None)
+        timer = sim.schedule_cancellable(2, print)
+        sim.schedule_cancellable(3, print, "x")
+        assert sim.pending_events == 4
+        timer.cancel()
+        assert sim.pending_events == 4
+        assert sim.live_pending_events == 3
+
+    def test_drain_keeps_fifo_order_and_args(self):
+        sim = Simulator()
+        got = []
+        sim.schedule(4, got.append, "fast0")
+        dead = sim.schedule_cancellable(4, got.append, "dead")
+        sim.schedule_cancellable(4, got.append, "timer")
+        sim.schedule(4, got.append, "fast1")
+        sim.schedule(1, got.append, "first")
+        dead.cancel()
+        pending = sim.drain()
+        assert [cycle for cycle, _ in pending] == [1, 4, 4, 4]
+        for _, fn in pending:
+            fn()
+        assert got == ["first", "fast0", "timer", "fast1"]
+        assert sim.pending_events == 0
+
+    def test_compaction_keeps_fast_and_timer_entries_in_order(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(700, fired.append, "fast0")
+        sim.schedule_cancellable(700, fired.append, "timer")
+        victims = [sim.schedule_cancellable(700, lambda: None)
+                   for _ in range(2 * Simulator.COMPACT_MIN_CANCELLED)]
+        sim.schedule(700, fired.append, "fast1")
+        for event in victims:
+            event.cancel()
+        assert sim.compactions >= 1
+        assert sim.pending_events < 3 + len(victims)
+        assert sim.live_pending_events == 3
+        sim.run()
+        assert fired == ["fast0", "timer", "fast1"]
+        assert sim.events_processed == 3
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()

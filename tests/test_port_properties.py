@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc import OutputPort, Packet
+from repro.noc.arbiter import WrrOutputPort
 from repro.sim import Simulator
+
+from test_port_router import unfused
 
 request = st.tuples(
     st.integers(min_value=0, max_value=20),   # issue delay
@@ -22,14 +25,11 @@ class TestPortProperties:
         sim = Simulator()
         port = OutputPort(sim, "p", priority_aware=priority_aware)
         granted = []
+        port.bind(lambda q: granted.append(q.payload))
         for i, (delay, size, prio, vnet) in enumerate(reqs):
             pkt = Packet(src=0, dst=1, payload=i, size_flits=size,
                          priority=prio, vnet=vnet)
-            sim.schedule(
-                delay, lambda p=pkt: port.request(
-                    p, lambda q: granted.append(q.payload)
-                )
-            )
+            sim.schedule(delay, port.request, pkt)
         sim.run()
         assert sorted(granted) == list(range(len(reqs)))
         assert not port.busy
@@ -44,13 +44,10 @@ class TestPortProperties:
         sim = Simulator()
         port = OutputPort(sim, "p")
         grants = []  # (cycle, size)
+        port.bind(lambda q: grants.append((sim.cycle, q.payload)))
         for i, (delay, size, prio, vnet) in enumerate(reqs):
             pkt = Packet(src=0, dst=1, payload=size, size_flits=size)
-            sim.schedule(
-                delay, lambda p=pkt: port.request(
-                    p, lambda q: grants.append((sim.cycle, q.payload))
-                )
-            )
+            sim.schedule(delay, port.request, pkt)
         sim.run()
         for (t1, size1), (t2, _size2) in zip(grants, grants[1:]):
             assert t2 - t1 >= min(size1, t2 - t1), (grants,)
@@ -67,18 +64,46 @@ class TestPortProperties:
         sim = Simulator()
         port = OutputPort(sim, "p", priority_aware=True)
         order = []
+        port.bind(lambda p: order.append((p.payload, p.vnet)))
         # one blocking packet, then everything queued at cycle 0
-        port.request(
-            Packet(src=0, dst=1, payload="head", size_flits=8),
-            lambda p: order.append(("head", 0)),
-        )
+        port.request(Packet(src=0, dst=1, payload="head", size_flits=8))
         for i, (_, size, prio, vnet) in enumerate(reqs):
-            pkt = Packet(src=0, dst=1, payload=i, size_flits=size,
-                         priority=prio, vnet=vnet)
-            port.request(pkt, lambda p=pkt: order.append((p.payload, p.vnet)))
+            port.request(Packet(src=0, dst=1, payload=i, size_flits=size,
+                                priority=prio, vnet=vnet))
         sim.run()
         vnets = [v for payload, v in order if payload != "head"]
         # all control packets precede all data packets
         first_data = next((i for i, v in enumerate(vnets) if v == 1),
                           len(vnets))
         assert all(v == 1 for v in vnets[first_data:])
+
+    @given(st.lists(st.tuples(request, st.booleans()), min_size=1,
+                    max_size=30),
+           st.booleans(), st.sampled_from([OutputPort, WrrOutputPort]))
+    @settings(max_examples=100, deadline=None)
+    def test_fused_grant_replays_the_unfused_schedule(
+            self, reqs, priority_aware, port_cls):
+        """Hand-offs, their cycles, the port statistics and the event
+        count match the port that schedules a 1-flit grant's hand-off
+        and release as two entries.  A *late* request is appended to its
+        cycle's bucket from inside that cycle, so it lands after the
+        grant entries scheduled the cycle before."""
+
+        def replay(cls):
+            sim = Simulator()
+            port = cls(sim, "p", priority_aware=priority_aware)
+            log = []
+            port.bind(lambda q: log.append((sim.cycle, q.payload)))
+            for i, ((delay, size, prio, vnet), late) in enumerate(reqs):
+                pkt = Packet(src=0, dst=1, payload=i, size_flits=size,
+                             priority=prio, vnet=vnet)
+                if late:
+                    sim.schedule(delay, sim.schedule, 0, port.request, pkt)
+                else:
+                    sim.schedule(delay, port.request, pkt)
+            sim.run()
+            return log, (port.packets_sent, port.flits_sent,
+                         port.total_wait_cycles, port.peak_queue_depth,
+                         port.busy, sim.events_processed)
+
+        assert replay(port_cls) == replay(unfused(port_cls))

@@ -242,7 +242,7 @@ class TestWrrArbiter:
             ("c1", 0), ("c2", 0), ("c3", 0), ("c4", 0),
             ("d1", 1), ("d2", 1),
         ]):
-            arb.push(Packet(0, 1, payload, vnet=vnet), lambda p: None, now=i)
+            arb.push(Packet(0, 1, payload, vnet=vnet), now=i)
         # strict priority would drain c1..c4 first; WRR rotates 2:1
         assert self._drain(arb) == ["c1", "c2", "d1", "c3", "c4", "d2"]
         assert arb.pending == 0
@@ -255,7 +255,7 @@ class TestWrrArbiter:
             for i in range(12):
                 arb.push(
                     Packet(0, 1, f"p{i}", priority=i % 3, vnet=i % 2),
-                    lambda p: None, now=i // 4,
+                    now=i // 4,
                 )
             return self._drain(arb)
 
@@ -269,15 +269,14 @@ class TestWrrOutputPort:
         sim = Simulator()
         port = port_cls(sim, "p", **kwargs)
         order = []
-        seen = lambda p: order.append(p.payload)
+        port.bind(lambda p: order.append(p.payload))
         # a 4-flit data burst occupies the port; the rest queue behind it
         sim.schedule(0, port.request,
-                     Packet(0, 1, "burst", size_flits=4, vnet=1), seen)
+                     Packet(0, 1, "burst", size_flits=4, vnet=1))
         for i, (payload, vnet) in enumerate([
             ("c1", 0), ("c2", 0), ("c3", 0), ("d1", 1),
         ]):
-            sim.schedule(1, port.request, Packet(0, 1, payload, vnet=vnet),
-                         seen)
+            sim.schedule(1, port.request, Packet(0, 1, payload, vnet=vnet))
         sim.run()
         return port, order
 
@@ -302,7 +301,8 @@ class TestWrrOutputPort:
         sim = Simulator()
         port = WrrOutputPort(sim, "p", weights=(2, 1))
         granted = []
-        port.request(Packet(0, 1, "only"), lambda p: granted.append(p))
+        port.bind(granted.append)
+        port.request(Packet(0, 1, "only"))
         sim.run()
         assert [p.payload for p in granted] == ["only"]
         assert port.total_wait_cycles == 0
