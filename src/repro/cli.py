@@ -30,7 +30,9 @@ import sys
 
 from dataclasses import replace
 
-from .config import AXES, MECHANISMS, SPEC_AXES, SystemConfig
+from .config import (
+    AXES, MECHANISMS, SPEC_AXES, SystemConfig, check_network_model,
+)
 from .exec import Executor, RunSpec
 from .locks.factory import PRIMITIVES, canonical_primitive
 from .stats.export import render_gantt, run_result_to_dict
@@ -254,6 +256,11 @@ def main(argv=None) -> int:
             config=base_config if args.flit_level else None,
             **robust,
         )
+    try:
+        check_network_model(spec.resolved_config())
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     observe = None
     if traced:
         from .exec.executor import execute_spec

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
+from .errors import UnsupportedTopology
+
 
 @dataclass(frozen=True)
 class CoreConfig:
@@ -307,6 +309,31 @@ _SECTION_TYPES = {
     "os": OsConfig,
     "spin": LockSpinConfig,
 }
+
+
+def check_network_model(config: SystemConfig) -> None:
+    """Refuse a config its NoC model cannot run.
+
+    The flit-level fabric has no iNPG big routers (``ValueError``) and
+    models the mesh only (:class:`~repro.errors.UnsupportedTopology`).
+    ``ManyCoreSystem`` calls this before it builds anything, and
+    ``inpg-sim`` calls it to report the refusal as a usage error.
+    """
+    noc = config.noc
+    if not noc.flit_level:
+        return
+    if config.inpg.enabled:
+        raise ValueError(
+            "iNPG requires the packet-level network model; "
+            "disable noc.flit_level or inpg"
+        )
+    if noc.topology != "mesh":
+        raise UnsupportedTopology(
+            f"the flit-level network models the mesh only; topology "
+            f"{noc.topology!r} requires the packet-level network",
+            model="flit/event",
+            topology=noc.topology,
+        )
 
 
 def config_to_dict(config: SystemConfig) -> Dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
 
-from .config import SystemConfig
+from .config import SystemConfig, check_network_model
 from .errors import DeadlockError
 from .coherence.memsystem import MemorySystem
 from .cpu.os_model import OsModel
@@ -65,6 +65,7 @@ class ManyCoreSystem:
         watchdog_cycles: Optional[int] = None,
         check_protocol: bool = False,
     ):
+        check_network_model(config)
         if workload.num_threads > config.noc.width * config.noc.height:
             raise ValueError(
                 f"{workload.num_threads} threads do not fit on a "
@@ -92,11 +93,6 @@ class ManyCoreSystem:
         # separate virtual networks guarantee); OCOR only changes the
         # priorities lock request packets carry.
         if config.noc.flit_level:
-            if config.inpg.enabled:
-                raise ValueError(
-                    "iNPG requires the packet-level network model; "
-                    "disable noc.flit_level or inpg"
-                )
             from .noc.flit_fabric import FlitFabric
 
             self.network = FlitFabric(self.sim, config.noc)

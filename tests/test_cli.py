@@ -62,6 +62,23 @@ class TestMain:
         assert parsed["roi_cycles"] == expected.roi_cycles
         assert parsed["network_packets"] == expected.network_packets
 
+    @pytest.mark.parametrize("flags,reason", [
+        (["--mechanism", "inpg"], "iNPG requires the packet-level"),
+        (["--topology", "torus"], "topology 'torus'"),
+    ], ids=["inpg", "torus"])
+    def test_flit_level_refusal_is_a_usage_error(self, capsys, flags,
+                                                 reason):
+        """A config the flit-level model cannot run exits 2 with one
+        ``error:`` line, before anything is simulated."""
+        rc = main(["microbench", "--threads", "8", "--flit-level",
+                   "--no-cache", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and reason in lines[0]
+
     def test_ttl_alias(self, capsys):
         rc = main(["vips", "--scale", "0.4", "--primitive", "TTL"])
         assert rc == 0

@@ -12,6 +12,7 @@ from repro.config import (
     InpgConfig,
     NocConfig,
     SystemConfig,
+    check_network_model,
     config_from_dict,
     config_to_dict,
     describe_axes,
@@ -169,3 +170,37 @@ class TestNocConfig:
         noc = NocConfig(width=4, height=4)
         with pytest.raises(ValueError):
             noc.node_at(4, 0)
+
+
+class TestNetworkModelCheck:
+    """One check decides which configs the flit-level model refuses;
+    ``ManyCoreSystem`` and ``inpg-sim`` both call it."""
+
+    def test_packet_level_accepts_every_axis(self):
+        for mechanism in MECHANISMS:
+            for topology in TOPOLOGIES:
+                check_network_model(SystemConfig().with_overrides(
+                    noc={"topology": topology}).with_mechanism(mechanism))
+
+    def test_flit_level_refusals(self):
+        from repro.errors import UnsupportedTopology
+
+        flit = SystemConfig().with_overrides(noc={"flit_level": True})
+        check_network_model(flit)
+        check_network_model(flit.with_mechanism("ocor"))
+        with pytest.raises(ValueError, match="iNPG requires"):
+            check_network_model(flit.with_mechanism("inpg"))
+        with pytest.raises(UnsupportedTopology) as excinfo:
+            check_network_model(flit.with_overrides(noc={"topology": "ring"}))
+        assert excinfo.value.model == "flit/event"
+        assert excinfo.value.topology == "ring"
+
+    def test_system_refuses_before_building(self):
+        from repro.errors import UnsupportedTopology
+        from repro.system import ManyCoreSystem
+        from repro.workloads.generator import single_lock_workload
+
+        flit = SystemConfig().with_overrides(
+            noc={"flit_level": True, "topology": "torus"})
+        with pytest.raises(UnsupportedTopology):
+            ManyCoreSystem(flit, single_lock_workload(4, home_node=5))
